@@ -7,16 +7,25 @@
 //! [`ColumnPredicate`]: the storage layer compiles them into dictionary
 //! codes and evaluates them on the compressed vectors (zone-map pruning,
 //! encoding-aware kernels, inverted-index routing), while genuinely
-//! row-wise shapes (`Ne`/`Or`/`Not`) stay behind as a residue applied to
-//! the materialized survivors. `SplitCombine` nodes fan out across threads
-//! and re-aggregate.
+//! row-wise shapes (`Ne`/`Or`/`Not`) stay behind as a residue.
+//!
+//! An `Aggregate` over a scan-rooted pipeline never sees rows: it is folded
+//! over the storage layer's column batches (`batch.rs`). Rows are
+//! materialized where a node needs them — at the root, and at the input of
+//! row-only operators (`Custom`, `Conv`, `SplitCombine`, `Union`, a join
+//! whose consumer reads rows); the row-at-a-time `aggregate`/`hash_join`
+//! below serve inputs that are not scan-rooted and are the reference the
+//! batch folds are tested against. `SplitCombine` nodes fan out across
+//! threads and re-aggregate.
 //!
 //! [`TableRead`]: hana_core::TableRead
 
-use crate::expr::{AggState, Predicate};
+use crate::expr::{AggFunc, AggState, Predicate};
 use crate::graph::{CalcGraph, CalcNode, NodeId, PipeOp, ScanSource};
 use hana_common::{HanaError, Result, Value};
-use hana_core::{ColumnPredicate, PartitionedRead, ScanStats, TableRead, VisibleRow};
+use hana_core::{
+    BatchSpec, ColumnBatch, ColumnPredicate, PartitionedRead, ScanStats, TableRead, VisibleRow,
+};
 use hana_txn::Snapshot;
 use rustc_hash::FxHashMap;
 use std::hash::{Hash, Hasher};
@@ -80,15 +89,15 @@ pub struct ExecStats {
 
 /// A pinned read view over a [`ScanSource`]: one table's [`TableRead`] or
 /// the fan-out [`PartitionedRead`] over every shard of a group. The two
-/// expose the same surface, so scans and columnar aggregates run the same
-/// code path regardless of partitioning.
-enum SourceRead {
+/// expose the same surface, so scans and batch folds run the same code path
+/// regardless of partitioning.
+pub(crate) enum SourceRead {
     Single(TableRead),
     Partitioned(PartitionedRead),
 }
 
 impl SourceRead {
-    fn at(source: &ScanSource, snap: Snapshot) -> SourceRead {
+    pub(crate) fn at(source: &ScanSource, snap: Snapshot) -> SourceRead {
         match source {
             ScanSource::Single(t) => SourceRead::Single(t.read_at(snap)),
             ScanSource::Partitioned(p) => SourceRead::Partitioned(p.read_at(snap)),
@@ -113,25 +122,24 @@ impl SourceRead {
         }
     }
 
-    fn count(&self) -> usize {
+    pub(crate) fn scan_batches<T: Send>(
+        &self,
+        spec: &BatchSpec<'_>,
+        fold: impl Fn(ColumnBatch<'_>) -> T + Sync,
+    ) -> Result<(Vec<T>, ScanStats)> {
         match self {
-            SourceRead::Single(r) => r.count(),
-            SourceRead::Partitioned(r) => r.count(),
+            SourceRead::Single(r) => r.scan_batches(spec, fold),
+            SourceRead::Partitioned(r) => r.scan_batches(spec, fold),
         }
     }
 
-    fn aggregate_numeric(&self, col: usize) -> Result<(u64, f64)> {
-        match self {
-            SourceRead::Single(r) => r.aggregate_numeric(col),
-            SourceRead::Partitioned(r) => r.aggregate_numeric(col),
-        }
-    }
-
-    fn group_aggregate(&self, group_col: usize, agg_col: usize) -> Result<Vec<(Value, u64, f64)>> {
-        match self {
-            SourceRead::Single(r) => r.group_aggregate(group_col, agg_col),
-            SourceRead::Partitioned(r) => r.group_aggregate(group_col, agg_col),
-        }
+    /// Physical rows in view — an upper bound on what a scan can yield.
+    pub(crate) fn row_bound(&self) -> usize {
+        let (l1, l2, main) = match self {
+            SourceRead::Single(r) => r.stage_row_counts(),
+            SourceRead::Partitioned(r) => r.stage_row_counts(),
+        };
+        l1 + l2 + main
     }
 
     fn vis_cache_stats(&self) -> (u64, u64) {
@@ -141,7 +149,7 @@ impl SourceRead {
         }
     }
 
-    fn governor(&self) -> &std::sync::Arc<hana_core::ResourceGovernor> {
+    pub(crate) fn governor(&self) -> &std::sync::Arc<hana_core::ResourceGovernor> {
         match self {
             SourceRead::Single(r) => r.governor(),
             SourceRead::Partitioned(r) => r.governor(),
@@ -151,8 +159,8 @@ impl SourceRead {
 
 /// Executes calc graphs under one snapshot.
 pub struct Executor {
-    snapshot: Snapshot,
-    stats: ExecStats,
+    pub(crate) snapshot: Snapshot,
+    pub(crate) stats: ExecStats,
 }
 
 impl Executor {
@@ -208,20 +216,22 @@ impl Executor {
         if memo.contains_key(&id) {
             return Ok(());
         }
-        // Columnar fast path BEFORE input evaluation: an aggregate directly
-        // over an unfiltered scan must not materialize the scan at all.
+        // Batch fold BEFORE input evaluation: an aggregate over a
+        // scan-rooted pipeline must not materialize the scan at all.
         if let CalcNode::Aggregate {
             input,
             group_by,
             aggs,
         } = g.node(id)
         {
-            if !memo.contains_key(input) {
-                if let Some(rs) = self.try_columnar_aggregate(g, *input, group_by, aggs)? {
-                    self.stats.nodes_evaluated += 1;
-                    memo.insert(id, rs);
-                    return Ok(());
+            if let Some(pipe) = crate::batch::recognize(g, *input, consumers, memo) {
+                for side in pipe.row_inputs() {
+                    self.eval(g, side, consumers, memo)?;
                 }
+                let rs = self.fold_aggregate(&pipe, group_by, aggs, memo)?;
+                self.stats.nodes_evaluated += pipe.nodes + 1;
+                memo.insert(id, rs);
+                return Ok(());
             }
         }
         // Evaluate inputs first (DAG, so recursion terminates).
@@ -380,7 +390,7 @@ impl Executor {
 
     /// Fold one read view's visibility-bitmap cache counters into the
     /// statement statistics.
-    fn absorb_cache_stats(&mut self, read: &SourceRead) {
+    pub(crate) fn absorb_cache_stats(&mut self, read: &SourceRead) {
         let (hits, misses) = read.vis_cache_stats();
         self.stats.bitmap_cache_hits += hits;
         self.stats.bitmap_cache_misses += misses;
@@ -388,7 +398,7 @@ impl Executor {
 
     /// Fold one filtered scan's pruning/kernel counters into the statement
     /// statistics.
-    fn absorb_scan_stats(&mut self, st: &ScanStats) {
+    pub(crate) fn absorb_scan_stats(&mut self, st: &ScanStats) {
         self.stats.parts_pruned += st.parts_pruned;
         self.stats.chunks_pruned += st.chunks_pruned;
         self.stats.zone_pruned_rows += st.zone_pruned_rows;
@@ -402,110 +412,25 @@ impl Executor {
     }
 }
 
-impl Executor {
-    /// Recognize `Aggregate(TableSource with no fused filter)` shapes the
-    /// unified table can answer from dictionary codes: a global or
-    /// single-column group-by whose aggregates are `Count` and/or `Sum`
-    /// over one numeric column. Returns `None` when the shape doesn't
-    /// match, falling back to the generic row path.
-    fn try_columnar_aggregate(
-        &mut self,
-        g: &CalcGraph,
-        input: NodeId,
-        group_by: &[usize],
-        aggs: &[(crate::expr::AggFunc, usize)],
-    ) -> Result<Option<ResultSet>> {
-        use crate::expr::AggFunc;
-        let CalcNode::TableSource {
-            table,
-            fused_filter: Predicate::True,
-            ..
-        } = g.node(input)
-        else {
-            return Ok(None);
-        };
-        // All Sum aggregates must target the same column.
-        let sum_col = aggs
-            .iter()
-            .filter(|(f, _)| *f == AggFunc::Sum)
-            .map(|(_, c)| *c)
-            .collect::<std::collections::BTreeSet<_>>();
-        if sum_col.len() > 1
-            || aggs
-                .iter()
-                .any(|(f, _)| !matches!(f, AggFunc::Count | AggFunc::Sum))
-            || group_by.len() > 1
-        {
-            return Ok(None);
-        }
-        let read = SourceRead::at(table, self.snapshot);
-        // Columnar aggregates are analytical scans too: same admission.
-        let (_permit, wait_ns) = read.governor().admit_scan()?;
-        self.stats.governor_wait_ns += wait_ns;
-        let agg_col = sum_col.into_iter().next().unwrap_or(0);
-        let columns: Vec<String> = group_by
-            .iter()
-            .map(|c| format!("g{c}"))
-            .chain(
-                aggs.iter()
-                    .map(|(f, c)| format!("{f:?}({c})").to_lowercase()),
-            )
-            .collect();
-        self.stats.indexed_scans += 1; // columnar kernel, no materialization
-        let rows = match group_by.first() {
-            None => {
-                let (count, sum) = read.aggregate_numeric(agg_col)?;
-                // COUNT(*) counts rows (including NULL agg values).
-                let total_rows = if aggs.iter().any(|(f, _)| *f == AggFunc::Count) {
-                    read.count() as i64
-                } else {
-                    count as i64
-                };
-                vec![aggs
-                    .iter()
-                    .map(|(f, _)| match f {
-                        AggFunc::Count => Value::Int(total_rows),
-                        AggFunc::Sum => Value::double(sum),
-                        _ => unreachable!(),
-                    })
-                    .collect()]
-            }
-            Some(&gcol) => {
-                let groups = read.group_aggregate(gcol, agg_col)?;
-                groups
-                    .into_iter()
-                    .map(|(key, count, sum)| {
-                        let mut row = vec![key];
-                        for (f, _) in aggs {
-                            row.push(match f {
-                                AggFunc::Count => Value::Int(count as i64),
-                                AggFunc::Sum => Value::double(sum),
-                                _ => unreachable!(),
-                            });
-                        }
-                        row
-                    })
-                    .collect()
-            }
-        };
-        let mut rows = rows;
-        rows.sort();
-        self.absorb_cache_stats(&read);
-        Ok(Some(ResultSet { columns, rows }))
-    }
-}
-
 /// Split a fused predicate into the conjuncts the storage layer can
-/// evaluate in the code domain plus the row-wise residue. Unlike the old
-/// single-conjunct split, **every** supported conjunct of an `And` is
-/// pushed down — `Eq`, the comparisons, `Between`, `InSet` and `IsNull`;
-/// only genuinely row-wise shapes (`Ne`, `Or`, `Not`) remain behind.
-/// Comparisons against a NULL literal stay in the residue so the exact
-/// `Predicate::eval` semantics are preserved bit for bit.
-fn split_pushdown(p: &Predicate) -> (Vec<ColumnPredicate>, Predicate) {
+/// evaluate in the code domain plus the row-wise residue. **Every**
+/// supported conjunct of an `And` is pushed down — `Eq`, the comparisons,
+/// `Between`, `InSet` and `IsNull`; only genuinely row-wise shapes (`Ne`,
+/// `Or`, `Not`) remain behind. Comparisons against a NULL literal stay in
+/// the residue so the exact `Predicate::eval` semantics are preserved bit
+/// for bit.
+pub(crate) fn split_pushdown(p: &Predicate) -> (Vec<ColumnPredicate>, Predicate) {
+    fn collect(p: &Predicate, pushed: &mut Vec<ColumnPredicate>, residue: &mut Vec<Predicate>) {
+        match (p, column_predicate(p)) {
+            (Predicate::True, _) => {}
+            (Predicate::And(ps), _) => ps.iter().for_each(|q| collect(q, pushed, residue)),
+            (_, Some(cp)) => pushed.push(cp),
+            (other, None) => residue.push(other.clone()),
+        }
+    }
     let mut pushed = Vec::new();
     let mut residue = Vec::new();
-    collect_conjuncts(p, &mut pushed, &mut residue);
+    collect(p, &mut pushed, &mut residue);
     let residue = match residue.len() {
         0 => Predicate::True,
         1 => residue.pop().unwrap(),
@@ -514,64 +439,60 @@ fn split_pushdown(p: &Predicate) -> (Vec<ColumnPredicate>, Predicate) {
     (pushed, residue)
 }
 
-fn collect_conjuncts(
-    p: &Predicate,
-    pushed: &mut Vec<ColumnPredicate>,
-    residue: &mut Vec<Predicate>,
-) {
+/// The code-domain form of a leaf comparison, when one reproduces
+/// `Predicate::eval` exactly (no NULL literal involved).
+pub(crate) fn column_predicate(p: &Predicate) -> Option<ColumnPredicate> {
+    let range = |c: &usize, lo: Bound<&Value>, hi: Bound<&Value>| {
+        Some(ColumnPredicate::Range(*c, lo.cloned(), hi.cloned()))
+    };
     match p {
-        Predicate::True => {}
-        Predicate::And(ps) => {
-            for q in ps {
-                collect_conjuncts(q, pushed, residue);
-            }
+        Predicate::Eq(c, v) if !v.is_null() => Some(ColumnPredicate::Eq(*c, v.clone())),
+        Predicate::Between(c, lo, hi) if !lo.is_null() && !hi.is_null() => {
+            range(c, Bound::Included(lo), Bound::Excluded(hi))
         }
-        Predicate::Eq(c, v) if !v.is_null() => pushed.push(ColumnPredicate::Eq(*c, v.clone())),
-        Predicate::Between(c, lo, hi) if !lo.is_null() && !hi.is_null() => pushed.push(
-            ColumnPredicate::Range(*c, Bound::Included(lo.clone()), Bound::Excluded(hi.clone())),
-        ),
-        Predicate::Lt(c, v) if !v.is_null() => pushed.push(ColumnPredicate::Range(
-            *c,
-            Bound::Unbounded,
-            Bound::Excluded(v.clone()),
-        )),
-        Predicate::Le(c, v) if !v.is_null() => pushed.push(ColumnPredicate::Range(
-            *c,
-            Bound::Unbounded,
-            Bound::Included(v.clone()),
-        )),
-        Predicate::Gt(c, v) if !v.is_null() => pushed.push(ColumnPredicate::Range(
-            *c,
-            Bound::Excluded(v.clone()),
-            Bound::Unbounded,
-        )),
-        Predicate::Ge(c, v) if !v.is_null() => pushed.push(ColumnPredicate::Range(
-            *c,
-            Bound::Included(v.clone()),
-            Bound::Unbounded,
-        )),
-        Predicate::InSet(c, vs) => pushed.push(ColumnPredicate::In(*c, vs.clone())),
-        Predicate::IsNull(c) => pushed.push(ColumnPredicate::IsNull(*c)),
-        other => residue.push(other.clone()),
+        Predicate::Lt(c, v) if !v.is_null() => range(c, Bound::Unbounded, Bound::Excluded(v)),
+        Predicate::Le(c, v) if !v.is_null() => range(c, Bound::Unbounded, Bound::Included(v)),
+        Predicate::Gt(c, v) if !v.is_null() => range(c, Bound::Excluded(v), Bound::Unbounded),
+        Predicate::Ge(c, v) if !v.is_null() => range(c, Bound::Included(v), Bound::Unbounded),
+        Predicate::InSet(c, vs) => Some(ColumnPredicate::In(*c, vs.clone())),
+        Predicate::IsNull(c) => Some(ColumnPredicate::IsNull(*c)),
+        _ => None,
     }
 }
 
-fn aggregate(
-    input: &ResultSet,
-    group_by: &[usize],
-    aggs: &[(crate::expr::AggFunc, usize)],
-) -> ResultSet {
-    let mut groups: FxHashMap<Vec<Value>, Vec<AggState>> = FxHashMap::default();
-    for row in &input.rows {
-        let key: Vec<Value> = group_by.iter().map(|&c| row[c].clone()).collect();
-        let states = groups
-            .entry(key)
-            .or_insert_with(|| aggs.iter().map(|(f, _)| AggState::new(*f)).collect());
-        for (s, (_, c)) in states.iter_mut().zip(aggs) {
-            s.update(&row[*c]);
+/// Group key → one running state per aggregate.
+pub(crate) type GroupMap = FxHashMap<Vec<Value>, Vec<AggState>>;
+
+/// The groups of one partition or scan unit, ready to merge.
+pub(crate) type Groups = Vec<(Vec<Value>, Vec<AggState>)>;
+
+/// Merge partial groups into `into` (the combine step of split/combine and
+/// of the batch folds).
+pub(crate) fn merge_groups(
+    into: &mut GroupMap,
+    from: impl IntoIterator<Item = (Vec<Value>, Vec<AggState>)>,
+) {
+    for (key, states) in from {
+        match into.entry(key) {
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                for (a, b) in e.get_mut().iter_mut().zip(&states) {
+                    a.merge(b);
+                }
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(states);
+            }
         }
     }
-    // A global aggregate over zero rows still yields one row of empties.
+}
+
+/// Finish every group into an output row `key ++ aggregates`, sorted. A
+/// global aggregate over zero rows still yields one row of empties.
+pub(crate) fn finish_groups(
+    mut groups: GroupMap,
+    group_by: &[usize],
+    aggs: &[(AggFunc, usize)],
+) -> ResultSet {
     if groups.is_empty() && group_by.is_empty() {
         groups.insert(
             vec![],
@@ -592,6 +513,25 @@ fn aggregate(
             .map(|(f, c)| format!("{f:?}({c})").to_lowercase()),
     );
     ResultSet { columns, rows }
+}
+
+/// Fold rows into groups (the row-at-a-time reference).
+fn group_rows(rows: &[Vec<Value>], group_by: &[usize], aggs: &[(AggFunc, usize)]) -> GroupMap {
+    let mut groups = GroupMap::default();
+    for row in rows {
+        let key: Vec<Value> = group_by.iter().map(|&c| row[c].clone()).collect();
+        let states = groups
+            .entry(key)
+            .or_insert_with(|| aggs.iter().map(|(f, _)| AggState::new(*f)).collect());
+        for (s, (_, c)) in states.iter_mut().zip(aggs) {
+            s.update(&row[*c]);
+        }
+    }
+    groups
+}
+
+fn aggregate(input: &ResultSet, group_by: &[usize], aggs: &[(AggFunc, usize)]) -> ResultSet {
+    finish_groups(group_rows(&input.rows, group_by, aggs), group_by, aggs)
 }
 
 fn hash_join(left: &ResultSet, right: &ResultSet, lc: usize, rc: usize) -> ResultSet {
@@ -643,25 +583,14 @@ fn split_combine(
     });
     // Combine.
     let mut plain_rows = Vec::new();
-    let mut agg_groups: FxHashMap<Vec<Value>, Vec<AggState>> = FxHashMap::default();
+    let mut agg_groups = GroupMap::default();
     let mut was_agg = false;
     for r in results {
         match r? {
             PartitionOut::Rows(mut rs) => plain_rows.append(&mut rs),
             PartitionOut::Partial(groups) => {
                 was_agg = true;
-                for (k, states) in groups {
-                    match agg_groups.entry(k) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            for (a, b) in e.get_mut().iter_mut().zip(&states) {
-                                a.merge(b);
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(states);
-                        }
-                    }
-                }
+                merge_groups(&mut agg_groups, groups);
             }
         }
     }
@@ -686,7 +615,7 @@ fn split_combine(
 
 enum PartitionOut {
     Rows(Vec<Vec<Value>>),
-    Partial(FxHashMap<Vec<Value>, Vec<AggState>>),
+    Partial(GroupMap),
 }
 
 fn run_body(mut rows: Vec<Vec<Value>>, body: &[PipeOp]) -> Result<PartitionOut> {
@@ -705,17 +634,7 @@ fn run_body(mut rows: Vec<Vec<Value>>, body: &[PipeOp]) -> Result<PartitionOut> 
                 rows = out;
             }
             PipeOp::PartialAggregate { group_by, aggs } => {
-                let mut groups: FxHashMap<Vec<Value>, Vec<AggState>> = FxHashMap::default();
-                for row in &rows {
-                    let key: Vec<Value> = group_by.iter().map(|&c| row[c].clone()).collect();
-                    let states = groups
-                        .entry(key)
-                        .or_insert_with(|| aggs.iter().map(|(f, _)| AggState::new(*f)).collect());
-                    for (s, (_, c)) in states.iter_mut().zip(aggs) {
-                        s.update(&row[*c]);
-                    }
-                }
-                return Ok(PartitionOut::Partial(groups));
+                return Ok(PartitionOut::Partial(group_rows(&rows, group_by, aggs)));
             }
         }
     }

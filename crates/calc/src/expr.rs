@@ -227,6 +227,24 @@ impl AggState {
         }
     }
 
+    /// A state holding what a code-domain fold accumulated: the row count
+    /// (`Count`), the non-null numeric count and sum (`Sum`/`Avg`), or the
+    /// decoded extreme (`Min`/`Max`).
+    pub(crate) fn from_parts(func: AggFunc, count: u64, sum: f64, extreme: Option<Value>) -> Self {
+        let (min, max) = match func {
+            AggFunc::Min => (extreme, None),
+            AggFunc::Max => (None, extreme),
+            _ => (None, None),
+        };
+        AggState {
+            func,
+            count,
+            sum,
+            min,
+            max,
+        }
+    }
+
     /// Fold one input value.
     pub fn update(&mut self, v: &Value) {
         match self.func {

@@ -36,6 +36,17 @@ impl ScanSource {
     }
 }
 
+impl ScanSource {
+    /// Tables behind the source: the partitions of a group, else 1. Column
+    /// batches name the one they come from as `source`.
+    pub fn tables(&self) -> usize {
+        match self {
+            ScanSource::Single(_) => 1,
+            ScanSource::Partitioned(p) => p.partition_count(),
+        }
+    }
+}
+
 impl From<Arc<UnifiedTable>> for ScanSource {
     fn from(t: Arc<UnifiedTable>) -> Self {
         ScanSource::Single(t)

@@ -19,6 +19,7 @@
 //!   consumers" — node results are memoized per execution, so a node feeding
 //!   two consumers is evaluated once.
 
+mod batch;
 pub mod builder;
 pub mod exec;
 pub mod expr;

@@ -99,6 +99,26 @@ impl Cluster {
         })
     }
 
+    /// Decode positions `[start, start + out.len())` into `out`: single
+    /// blocks fill, packed blocks unpack block-wise.
+    pub fn decode_range(&self, start: usize, out: &mut [Code]) {
+        let end = start + out.len();
+        debug_assert!(end <= self.len);
+        if start >= end {
+            return;
+        }
+        for bi in start / self.block_size..=(end - 1) / self.block_size {
+            let block_start = bi * self.block_size;
+            let lo = block_start.max(start);
+            let hi = (block_start + self.block_size).min(end);
+            let dst = &mut out[lo - start..hi - start];
+            match &self.blocks[bi] {
+                Block::Single(c) => dst.fill(*c),
+                Block::Packed(v) => v.unpack_block(lo - block_start, dst),
+            }
+        }
+    }
+
     /// Positions whose code equals `code`; single blocks match wholesale.
     pub fn scan_eq(&self, code: Code, out: &mut Vec<Pos>) {
         for (bi, b) in self.blocks.iter().enumerate() {

@@ -144,6 +144,23 @@ impl CodeVector {
         self.iter().collect()
     }
 
+    /// Block decode: positions `[start, start + out.len())` into `out`,
+    /// at each encoding's bulk rate (word-streaming unpack, one fill per
+    /// run / single-valued block, dominant fill plus exceptions) instead of
+    /// one random [`get`](Self::get) per row.
+    ///
+    /// # Panics
+    /// Panics if the window exceeds the vector.
+    pub fn decode_range(&self, start: usize, out: &mut [Code]) {
+        assert!(start + out.len() <= self.len(), "window out of bounds");
+        match self {
+            CodeVector::BitPacked(v) => v.unpack_block(start, out),
+            CodeVector::Rle(v) => v.decode_range(start, out),
+            CodeVector::Sparse(v) => v.decode_range(start, out),
+            CodeVector::Cluster(v) => v.decode_range(start, out),
+        }
+    }
+
     /// Positions whose code equals `code`.
     pub fn scan_eq(&self, code: Code, out: &mut Vec<Pos>) {
         match self {
@@ -308,6 +325,39 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_range_agrees_across_encodings() {
+        let mut codes: Vec<Code> = (0..5000).map(|i| (i / 300) % 17).collect();
+        for i in (0..5000).step_by(611) {
+            codes[i] = 16;
+        }
+        let stats = CodeStats::compute(&codes);
+        let encodings = [
+            CodeVector::BitPacked(BitPackedVec::from_codes(&codes)),
+            CodeVector::Rle(Rle::from_codes(&codes)),
+            CodeVector::Sparse(Sparse::from_codes(&codes, stats.dominant.unwrap().0)),
+            CodeVector::Cluster(Cluster::from_codes(&codes, 256)),
+        ];
+        for (start, end) in [
+            (0usize, 5000usize),
+            (100, 4997),
+            (255, 257),
+            (4999, 5000),
+            (37, 37),
+        ] {
+            for e in &encodings {
+                let mut got = vec![0 as Code; end - start];
+                e.decode_range(start, &mut got);
+                assert_eq!(
+                    got,
+                    &codes[start..end],
+                    "{:?} [{start},{end})",
+                    e.encoding()
+                );
             }
         }
     }

@@ -77,6 +77,23 @@ impl Rle {
             .flatten()
     }
 
+    /// Decode positions `[start, start + out.len())` into `out`, one fill
+    /// per overlapping run.
+    pub fn decode_range(&self, start: usize, out: &mut [Code]) {
+        let end = start + out.len();
+        debug_assert!(end <= self.len);
+        let k = self.runs.partition_point(|&(_, e)| e as usize <= start);
+        let mut at = start;
+        for &(c, run_end) in &self.runs[k..] {
+            if at >= end {
+                break;
+            }
+            let hi = (run_end as usize).min(end);
+            out[at - start..hi - start].fill(c);
+            at = hi;
+        }
+    }
+
     /// Positions whose code equals `code` — whole matching runs at once.
     pub fn scan_eq(&self, code: Code, out: &mut Vec<Pos>) {
         let mut start = 0u32;

@@ -86,6 +86,23 @@ impl Sparse {
         })
     }
 
+    /// Decode positions `[start, start + out.len())` into `out`: the
+    /// dominant code everywhere, then the window's exceptions on top.
+    pub fn decode_range(&self, start: usize, out: &mut [Code]) {
+        let end = start + out.len();
+        debug_assert!(end <= self.len);
+        out.fill(self.default_code);
+        let first = self
+            .exceptions
+            .partition_point(|&(p, _)| (p as usize) < start);
+        for &(p, c) in &self.exceptions[first..] {
+            if p as usize >= end {
+                break;
+            }
+            out[p as usize - start] = c;
+        }
+    }
+
     /// Positions whose code equals `code`.
     pub fn scan_eq(&self, code: Code, out: &mut Vec<Pos>) {
         if code == self.default_code {

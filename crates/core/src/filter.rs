@@ -20,7 +20,7 @@
 //! semantics in the code domain (nulls never satisfy `Eq`/`Between`).
 //!
 //! Predicate shapes outside these four stay row-wise in the engine layer as
-//! a *residue* — see `hana_calc`'s `split_indexable`.
+//! a *residue* — see `hana_calc`'s `split_pushdown`.
 
 use hana_column::{CodeFilter, CodeMatcher, ZoneEntry};
 use hana_common::Value;
@@ -170,7 +170,12 @@ pub(crate) fn zone_admits(z: ZoneEntry, m: &CodeMatcher) -> bool {
 }
 
 /// Counters a filtered scan reports up to the engine's `ExecStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+///
+/// Deliberately not `PartialEq`: the struct mixes work counters that are
+/// contractually identical across schedules with telemetry of the schedule
+/// itself (`governor_wait_ns`, `effective_parallelism`). Compare
+/// [`work`](ScanStats::work) instead.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ScanStats {
     /// Whole main parts skipped by part-level zone maps (or empty compiled
     /// filters — the dictionary proved no row can match).
@@ -195,7 +200,38 @@ pub struct ScanStats {
     pub effective_parallelism: usize,
 }
 
+/// The schedule-independent work a scan did: bit-identical whatever the
+/// worker count, governor clamp or admission wait (the determinism
+/// contract of the parallel scan, as a type).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanWork {
+    /// See [`ScanStats::parts_pruned`].
+    pub parts_pruned: usize,
+    /// See [`ScanStats::chunks_pruned`].
+    pub chunks_pruned: usize,
+    /// See [`ScanStats::zone_pruned_rows`].
+    pub zone_pruned_rows: u64,
+    /// See [`ScanStats::code_filtered_rows`].
+    pub code_filtered_rows: u64,
+    /// See [`ScanStats::rowwise_rows`].
+    pub rowwise_rows: u64,
+    /// See [`ScanStats::index_probes`].
+    pub index_probes: usize,
+}
+
 impl ScanStats {
+    /// The work counters alone, without the schedule telemetry.
+    pub fn work(&self) -> ScanWork {
+        ScanWork {
+            parts_pruned: self.parts_pruned,
+            chunks_pruned: self.chunks_pruned,
+            zone_pruned_rows: self.zone_pruned_rows,
+            code_filtered_rows: self.code_filtered_rows,
+            rowwise_rows: self.rowwise_rows,
+            index_probes: self.index_probes,
+        }
+    }
+
     /// Fold another stats block into this one.
     pub fn merge(&mut self, o: &ScanStats) {
         self.parts_pruned += o.parts_pruned;

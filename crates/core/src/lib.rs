@@ -42,6 +42,7 @@
 //! assert_eq!(rows.len(), 1);
 //! ```
 
+pub mod batch;
 pub mod database;
 pub mod filter;
 pub mod gc;
@@ -56,8 +57,9 @@ pub mod snapshot_image;
 pub mod table;
 pub mod write;
 
+pub use batch::{BatchCol, BatchColumn, BatchSpec, ColumnBatch, ColumnData, DictView};
 pub use database::Database;
-pub use filter::{ColumnPredicate, ScanStats};
+pub use filter::{ColumnPredicate, ScanStats, ScanWork};
 pub use gc::{GcShared, GcStats, TableGc};
 pub use governor::{ResourceGovernor, ScanPermit};
 pub use lifecycle::StageStats;

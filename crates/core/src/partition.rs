@@ -18,6 +18,7 @@
 //! partition's result is bit-identical to its serial scan, so the combined
 //! output is deterministic regardless of worker count.
 
+use crate::batch::{self, BatchSource, BatchSpec, ColumnBatch};
 use crate::filter::{ColumnPredicate, ScanStats};
 use crate::read::{TableRead, VisibleRow};
 use crate::table::UnifiedTable;
@@ -202,9 +203,10 @@ impl PartitionedTable {
             reads: self
                 .partitions
                 .iter()
-                .map(|p| {
+                .enumerate()
+                .map(|(i, p)| {
                     let mut r = p.read_at(snap);
-                    r.set_serial_shard();
+                    r.set_shard(i);
                     r
                 })
                 .collect(),
@@ -289,41 +291,48 @@ impl PartitionedRead {
         map_indexed(self.reads.len(), self.workers(), |i| f(&self.reads[i]))
     }
 
+    /// Partition-parallel [batch scan](crate::batch): every shard serves
+    /// its units serially (zone maps, code-domain kernels and visibility
+    /// bitmaps per shard), shards fan out over the pool, and the fold
+    /// results come back in partition-index order, each shard in its unit
+    /// order; per-partition [`ScanStats`] are summed so pruning and cache
+    /// observability survive sharding. Batches carry their partition index
+    /// as `source`.
+    pub fn scan_batches<T: Send>(
+        &self,
+        spec: &BatchSpec<'_>,
+        fold: impl Fn(ColumnBatch<'_>) -> T + Sync,
+    ) -> Result<(Vec<T>, ScanStats)> {
+        let mut out = Vec::new();
+        let mut stats = ScanStats::default();
+        for res in self.fan_out(|r| r.scan_batches(spec, &fold)) {
+            let (units, st) = res?;
+            out.extend(units);
+            stats.merge(&st);
+        }
+        Ok((out, stats))
+    }
+
     /// All visible rows, partitions combined in partition-index order.
     pub fn collect_rows(&self) -> Vec<VisibleRow> {
-        self.fan_out(|r| r.collect_rows())
-            .into_iter()
-            .flatten()
-            .collect()
+        self.collect_rows_projected(None)
     }
 
     /// [`collect_rows`](Self::collect_rows) with a projection pushed into
     /// materialization.
     pub fn collect_rows_projected(&self, proj: Option<&[usize]>) -> Vec<VisibleRow> {
-        self.fan_out(|r| r.collect_rows_projected(proj))
-            .into_iter()
-            .flatten()
-            .collect()
+        batch::scan_rows(self, &[], proj, false)
+            .expect("projection columns are in range")
+            .0
     }
 
-    /// Partition-parallel filtered scan: each partition runs the full
-    /// compressed-domain path (zone maps, code-domain kernels, visibility
-    /// bitmaps); per-partition [`ScanStats`] are summed so pruning and
-    /// cache observability survive sharding.
+    /// Partition-parallel filtered scan (see [`TableRead::scan_filtered`]).
     pub fn scan_filtered(
         &self,
         preds: &[ColumnPredicate],
         proj: Option<&[usize]>,
     ) -> Result<(Vec<VisibleRow>, ScanStats)> {
-        let per = self.fan_out(|r| r.scan_filtered(preds, proj));
-        let mut out = Vec::new();
-        let mut stats = ScanStats::default();
-        for res in per {
-            let (rows, st) = res?;
-            out.extend(rows);
-            stats.merge(&st);
-        }
-        Ok((out, stats))
+        batch::scan_rows(self, preds, proj, false)
     }
 
     /// Count visible rows across all partitions.
@@ -348,37 +357,17 @@ impl PartitionedRead {
     /// combine in partition-index order, so the float sum is independent of
     /// the worker count.
     pub fn aggregate_numeric(&self, col: usize) -> Result<(u64, f64)> {
-        let per = self.fan_out(|r| r.aggregate_numeric(col));
-        let (mut count, mut sum) = (0u64, 0.0f64);
-        for res in per {
-            let (c, s) = res?;
-            count += c;
-            sum += s;
-        }
-        Ok((count, sum))
+        batch::aggregate_numeric(self, col)
     }
 
-    /// Group-by aggregation across all partitions: per-partition columnar
-    /// group-by, group keys merged in partition-index order, output sorted
-    /// by key (the same contract as the single-table path).
+    /// Group-by aggregation across all partitions, output sorted by key
+    /// (the same contract as the single-table path).
     pub fn group_aggregate(
         &self,
         group_col: usize,
         agg_col: usize,
     ) -> Result<Vec<(Value, u64, f64)>> {
-        let per = self.fan_out(|r| r.group_aggregate(group_col, agg_col));
-        let mut groups: rustc_hash::FxHashMap<Value, (u64, f64)> = Default::default();
-        for res in per {
-            for (key, c, s) in res? {
-                let e = groups.entry(key).or_insert((0, 0.0));
-                e.0 += c;
-                e.1 += s;
-            }
-        }
-        let mut out: Vec<(Value, u64, f64)> =
-            groups.into_iter().map(|(k, (c, s))| (k, c, s)).collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
+        batch::group_aggregate(self, group_col, agg_col)
     }
 
     /// `(hits, misses)` of the visibility-bitmap caches summed over every
@@ -403,6 +392,20 @@ impl PartitionedRead {
             c += z;
         }
         (a, b, c)
+    }
+}
+
+impl BatchSource for PartitionedRead {
+    fn arity(&self) -> usize {
+        self.reads[0].arity()
+    }
+
+    fn scan<T: Send>(
+        &self,
+        spec: &BatchSpec<'_>,
+        fold: impl Fn(ColumnBatch<'_>) -> T + Sync,
+    ) -> Result<(Vec<T>, ScanStats)> {
+        self.scan_batches(spec, fold)
     }
 }
 

@@ -9,23 +9,22 @@
 //! §4.1's "keep the old and the new versions … until all database operations
 //! of open transactions … have finished".
 //!
-//! Main-store access runs through the parallel scan engine: per-part
-//! visibility resolves once through the wholly-visible summary or a cached
-//! per-snapshot bitmap (see [`MainPart::cached_visibility`]), then fixed-size
-//! row chunks fan out over a bounded worker pool
-//! ([`hana_merge::map_indexed`]) and reassemble in chain order, so a
-//! parallel scan is bit-identical to the serial one.
+//! Scans, projections and the columnar aggregates are folds over the one
+//! [batch scan](crate::batch); this module keeps what is not a scan: opening
+//! a view, per-part visibility resolution (the wholly-visible summary or a
+//! cached per-snapshot bitmap, see [`MainPart::cached_visibility`]), and the
+//! point/range paths through the dictionaries and inverted indexes.
 
-use crate::filter::{zone_admits, ColumnPredicate, ScanStats};
-use crate::scan::{plan_chunks, plan_ranges, PartVisibility};
+use crate::batch;
+use crate::filter::{ColumnPredicate, ScanStats};
+use crate::scan::{plan_ranges, PartVisibility};
 use crate::table::UnifiedTable;
-use hana_column::kernel::refine_bitmap;
-use hana_column::{Bitmap, CodeMatcher, Pos};
+use hana_column::{Bitmap, Pos};
 use hana_common::{HanaError, Result, RowId, Timestamp, TxnId, Value};
 use hana_dict::GlobalSortedDict;
 use hana_merge::{effective_workers, map_indexed};
 use hana_rowstore::L1Snapshot;
-use hana_store::{L2Delta, MainStore, PartHit, VisBitmap, L2_NULL_CODE};
+use hana_store::{L2Delta, MainStore, PartHit, VisBitmap};
 use hana_txn::{version_visible, Snapshot, Transaction};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,13 +35,13 @@ use hana_store::MainPart;
 
 /// A consistent, merge-proof view of one table under one snapshot.
 pub struct TableRead {
-    table: Arc<UnifiedTable>,
+    pub(crate) table: Arc<UnifiedTable>,
     snap: Snapshot,
-    l1: L1Snapshot,
-    l2: Arc<L2Delta>,
-    l2_fence: Pos,
-    l2_frozen: Option<(Arc<L2Delta>, Pos)>,
-    main: Arc<MainStore>,
+    pub(crate) l1: L1Snapshot,
+    pub(crate) l2: Arc<L2Delta>,
+    pub(crate) l2_fence: Pos,
+    pub(crate) l2_frozen: Option<(Arc<L2Delta>, Pos)>,
+    pub(crate) main: Arc<MainStore>,
     /// Visibility-bitmap cache hits observed through this view.
     cache_hits: AtomicU64,
     /// Visibility bitmaps this view had to compute from raw stamps.
@@ -51,6 +50,9 @@ pub struct TableRead {
     /// parallelism is suppressed so the partition-level fan-out alone
     /// sizes the thread pool (see `PartitionedRead`).
     serial_shard: bool,
+    /// Index of this view within its read (the partition index of a shard,
+    /// else 0); stamped on every batch it serves.
+    pub(crate) source: usize,
 }
 
 /// A visible row surfaced by a scan.
@@ -86,23 +88,16 @@ impl UnifiedTable {
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             serial_shard: false,
+            source: 0,
         }
     }
 }
 
-/// Materialize one L2 row under a projection. `narrow` returns only the
-/// projected columns (in projection order); otherwise unprojected columns
-/// are `Null` placeholders so downstream column indexes stay stable.
-fn l2_row(
-    l2: &L2Delta,
-    pos: Pos,
-    arity: usize,
-    proj: Option<&[usize]>,
-    narrow: bool,
-) -> Vec<Value> {
+/// Materialize one L2 row under a projection: unprojected columns are
+/// `Null` placeholders so downstream column indexes stay stable.
+fn l2_row(l2: &L2Delta, pos: Pos, arity: usize, proj: Option<&[usize]>) -> Vec<Value> {
     match proj {
         None => l2.row(pos),
-        Some(cols) if narrow => cols.iter().map(|&c| l2.value(pos, c)).collect(),
         Some(cols) => {
             let mut row = vec![Value::Null; arity];
             for &c in cols {
@@ -115,10 +110,9 @@ fn l2_row(
 
 /// Materialize an L1 slot's values under a projection, cloning only the
 /// columns the caller asked for.
-fn slot_row(values: &[Value], proj: Option<&[usize]>, narrow: bool) -> Vec<Value> {
+fn slot_row(values: &[Value], proj: Option<&[usize]>) -> Vec<Value> {
     match proj {
         None => values.to_vec(),
-        Some(cols) if narrow => cols.iter().map(|&c| values[c].clone()).collect(),
         Some(cols) => {
             let mut row = vec![Value::Null; values.len()];
             for &c in cols {
@@ -135,10 +129,11 @@ impl TableRead {
         &self.snap
     }
 
-    /// Mark this view as one shard of a partition fan-out: chunk-level
+    /// Mark this view as shard `index` of a partition fan-out: chunk-level
     /// parallelism is suppressed so only the partition level fans out.
-    pub(crate) fn set_serial_shard(&mut self) {
+    pub(crate) fn set_shard(&mut self, index: usize) {
         self.serial_shard = true;
+        self.source = index;
     }
 
     /// The table's (database-wide) resource governor — the engine layer
@@ -164,11 +159,11 @@ impl TableRead {
         )
     }
 
-    fn visible(&self, begin: Timestamp, end: Timestamp) -> bool {
+    pub(crate) fn visible(&self, begin: Timestamp, end: Timestamp) -> bool {
         version_visible(&self.table.mgr, &self.snap, begin, end)
     }
 
-    fn schema_col(&self, col: usize) -> Result<()> {
+    pub(crate) fn schema_col(&self, col: usize) -> Result<()> {
         if col >= self.table.schema.arity() {
             return Err(HanaError::Schema(format!(
                 "column index {col} out of range for {}",
@@ -193,7 +188,7 @@ impl TableRead {
     /// signal is hot) and additionally forced serial when this read is one
     /// shard of a partition fan-out (the parallelism then lives at the
     /// partition level — nesting both fan-outs oversubscribes the pool).
-    fn scan_workers(&self, jobs: usize) -> usize {
+    pub(crate) fn scan_workers(&self, jobs: usize) -> usize {
         if jobs <= 1 || self.serial_shard {
             return 1;
         }
@@ -254,12 +249,10 @@ impl TableRead {
         PartVisibility::Filtered(entry)
     }
 
-    /// Materialize one main row under a projection (see [`l2_row`] for the
-    /// `narrow` semantics).
-    fn main_row(&self, hit: PartHit, proj: Option<&[usize]>, narrow: bool) -> Vec<Value> {
+    /// Materialize one main row under a projection (see [`l2_row`]).
+    fn main_row(&self, hit: PartHit, proj: Option<&[usize]>) -> Vec<Value> {
         match proj {
             None => self.main.row_at(hit),
-            Some(cols) if narrow => cols.iter().map(|&c| self.main.value_at(hit, c)).collect(),
             Some(cols) => {
                 let mut row = vec![Value::Null; self.table.schema.arity()];
                 for &c in cols {
@@ -270,80 +263,10 @@ impl TableRead {
         }
     }
 
-    /// Upper bound on visible rows: used to pre-size collection output.
-    fn row_upper_bound(&self) -> usize {
-        self.main.total_rows()
-            + self.l2_fence as usize
-            + self.l2_frozen.as_ref().map_or(0, |(_, f)| *f as usize)
-            + self.l1.len()
-    }
-
-    /// The scan core: visit every visible row, main first (chunked and
-    /// fanned out over the scan pool, reassembled in chain order), then
-    /// frozen L2, open L2, L1 — oldest store to newest, matching merge
-    /// order.
-    fn scan_visible(&self, proj: Option<&[usize]>, narrow: bool, f: &mut dyn FnMut(VisibleRow)) {
-        let parts = self.main.parts();
-        let vis: Vec<PartVisibility> = (0..parts.len())
-            .map(|pi| self.part_visibility(pi))
-            .collect();
-        let chunks = plan_chunks(parts);
-        let workers = self.scan_workers(chunks.len());
-        let scan_epoch = self.table.governor.epoch();
-        let produced = map_indexed(chunks.len(), workers, |ci| {
-            let mut seen = scan_epoch;
-            self.table.governor.chunk_yield(&mut seen);
-            let ch = chunks[ci];
-            let part = &parts[ch.part];
-            let mut rows = Vec::new();
-            for pos in ch.start..ch.end {
-                if vis[ch.part].is_visible(pos) {
-                    rows.push(VisibleRow {
-                        row_id: part.row_id(pos),
-                        values: self.main_row(PartHit { part: ch.part, pos }, proj, narrow),
-                    });
-                }
-            }
-            rows
-        });
-        for rows in produced {
-            for r in rows {
-                f(r);
-            }
-        }
-        let arity = self.table.schema.arity();
-        if let Some((frozen, fence)) = &self.l2_frozen {
-            for pos in 0..*fence {
-                if self.visible(frozen.begin(pos), frozen.end(pos)) {
-                    f(VisibleRow {
-                        row_id: frozen.row_id(pos),
-                        values: l2_row(frozen, pos, arity, proj, narrow),
-                    });
-                }
-            }
-        }
-        for pos in 0..self.l2_fence {
-            if self.visible(self.l2.begin(pos), self.l2.end(pos)) {
-                f(VisibleRow {
-                    row_id: self.l2.row_id(pos),
-                    values: l2_row(&self.l2, pos, arity, proj, narrow),
-                });
-            }
-        }
-        for (_, slot) in self.l1.iter() {
-            if self.visible(slot.begin(), slot.end()) {
-                f(VisibleRow {
-                    row_id: slot.row_id,
-                    values: slot_row(&slot.values, proj, narrow),
-                });
-            }
-        }
-    }
-
     /// Iterate every *visible* row, main first, then frozen L2, then open
     /// L2, then L1 — oldest store to newest, matching merge order.
-    pub fn for_each_visible(&self, mut f: impl FnMut(VisibleRow)) {
-        self.scan_visible(None, false, &mut f);
+    pub fn for_each_visible(&self, f: impl FnMut(VisibleRow)) {
+        self.collect_rows().into_iter().for_each(f);
     }
 
     /// Materialize all visible rows.
@@ -355,42 +278,26 @@ impl TableRead {
     /// engine layer: unprojected columns stay `Null` placeholders so the
     /// caller's column indexes remain valid.
     pub fn collect_rows_projected(&self, proj: Option<&[usize]>) -> Vec<VisibleRow> {
-        let mut out = Vec::with_capacity(self.row_upper_bound());
-        self.scan_visible(proj, false, &mut |r| out.push(r));
-        out
+        batch::scan_rows(self, &[], proj, false)
+            .expect("projection columns are in range")
+            .0
     }
 
     /// Late materialization: all visible rows narrowed to `cols`, in
     /// projection order. Only the requested columns are ever decoded or
     /// cloned.
     pub fn project(&self, cols: &[usize]) -> Result<Vec<VisibleRow>> {
-        for &c in cols {
-            self.schema_col(c)?;
-        }
-        let mut out = Vec::with_capacity(self.row_upper_bound());
-        self.scan_visible(Some(cols), true, &mut |r| out.push(r));
-        Ok(out)
+        Ok(batch::scan_rows(self, &[], Some(cols), true)?.0)
     }
 
     /// Compressed-domain filtered scan: all visible rows satisfying *every*
-    /// conjunct in `preds`, plus the pruning/filtering counters.
+    /// conjunct in `preds`, plus the pruning/filtering counters — the
+    /// [batch scan](crate::batch) with rows materialized at its output
+    /// under `proj`. The main chain never materializes a value to decide
+    /// the filter; only the (small) L1 is evaluated row-wise on values.
     ///
-    /// The main chain never materializes a value to decide the filter: each
-    /// conjunct is compiled per part into a [`CodeMatcher`]
-    /// (see [`ColumnPredicate::compile_for_part`]), whole parts and
-    /// 16Ki-row chunks whose zone maps contradict the compiled spans are
-    /// skipped, and the surviving chunks run the encoding-aware kernels
-    /// ([`hana_column::CodeVector::filter_range`]) in the parallel scan
-    /// fan-out; hit bits are then ANDed with the snapshot-visibility
-    /// resolution of PR 2 (summary or cached bitmap) before materializing
-    /// only matching rows under `proj`. A non-null `Eq` conjunct routes
-    /// through the inverted indexes instead of scanning, verifying the other
-    /// conjuncts per hit — still in the code domain. The L2-deltas probe
-    /// their unsorted dictionaries once per conjunct into code sets; only
-    /// the (small) L1 is evaluated row-wise on values.
-    ///
-    /// With empty `preds` this is [`collect_rows_projected`]
-    /// (Self::collect_rows_projected). Output order matches
+    /// With empty `preds` this is
+    /// [`collect_rows_projected`](Self::collect_rows_projected). Output order matches
     /// [`for_each_visible`](Self::for_each_visible): main in chunk order,
     /// then frozen L2, open L2, L1 — so parallel execution stays
     /// bit-identical to serial.
@@ -399,215 +306,7 @@ impl TableRead {
         preds: &[ColumnPredicate],
         proj: Option<&[usize]>,
     ) -> Result<(Vec<VisibleRow>, ScanStats)> {
-        self.check_projection(proj)?;
-        for p in preds {
-            self.schema_col(p.column())?;
-        }
-        let mut stats = ScanStats::default();
-        if preds.is_empty() {
-            return Ok((self.collect_rows_projected(proj), stats));
-        }
-        let cols: Vec<usize> = preds.iter().map(|p| p.column()).collect();
-        let mut out = Vec::new();
-
-        // ---- Main chain ----
-        let parts = self.main.parts();
-        let matchers: Vec<Vec<CodeMatcher>> = (0..parts.len())
-            .map(|pi| {
-                preds
-                    .iter()
-                    .map(|p| p.compile_for_part(&self.main, pi))
-                    .collect()
-            })
-            .collect();
-        let eq_route = preds.iter().find_map(|p| match p {
-            ColumnPredicate::Eq(c, v) if !v.is_null() => Some((*c, v)),
-            _ => None,
-        });
-        if let Some((col, v)) = eq_route {
-            // Selective point conjunct: inverted-index probe instead of a
-            // scan; remaining conjuncts verify on raw codes per hit.
-            stats.index_probes += 1;
-            let hits = self.main.positions_eq(col, v);
-            stats.code_filtered_rows += hits.len() as u64;
-            let mut vis: Vec<Option<PartVisibility>> = Vec::with_capacity(parts.len());
-            vis.resize_with(parts.len(), || None);
-            for h in hits {
-                let part = &parts[h.part];
-                if !matchers[h.part]
-                    .iter()
-                    .zip(&cols)
-                    .all(|(m, &c)| m.matches(part.code_at(h.pos, c)))
-                {
-                    continue;
-                }
-                let v = vis[h.part].get_or_insert_with(|| self.part_visibility(h.part));
-                if v.is_visible(h.pos) {
-                    out.push(VisibleRow {
-                        row_id: part.row_id(h.pos),
-                        values: self.main_row(h, proj, false),
-                    });
-                }
-            }
-        } else {
-            // Zone-map pruning: whole parts first, then chunks. A part whose
-            // compiled filter is empty (dictionary proved no match) prunes
-            // the same way.
-            let mut part_active = vec![true; parts.len()];
-            for (pi, part) in parts.iter().enumerate() {
-                let dead = matchers[pi]
-                    .iter()
-                    .zip(&cols)
-                    .any(|(m, &c)| m.never_matches() || !zone_admits(part.zone_map(c).part(), m));
-                if dead && !part.is_empty() {
-                    part_active[pi] = false;
-                    stats.parts_pruned += 1;
-                    stats.zone_pruned_rows += part.len() as u64;
-                }
-            }
-            let chunks: Vec<_> = plan_chunks(parts)
-                .into_iter()
-                .filter(|ch| {
-                    if !part_active[ch.part] {
-                        return false;
-                    }
-                    let part = &parts[ch.part];
-                    let dead = matchers[ch.part]
-                        .iter()
-                        .zip(&cols)
-                        .any(|(m, &c)| !zone_admits(part.zone_map(c).chunk_at(ch.start), m));
-                    if dead {
-                        stats.chunks_pruned += 1;
-                        stats.zone_pruned_rows += (ch.end - ch.start) as u64;
-                    }
-                    !dead
-                })
-                .collect();
-            stats.code_filtered_rows += chunks
-                .iter()
-                .map(|ch| (ch.end - ch.start) as u64)
-                .sum::<u64>();
-            let vis: Vec<PartVisibility> = (0..parts.len())
-                .map(|pi| {
-                    if part_active[pi] && !parts[pi].is_empty() {
-                        self.part_visibility(pi)
-                    } else {
-                        PartVisibility::All // never consulted for pruned parts
-                    }
-                })
-                .collect();
-            let workers = self.scan_workers(chunks.len());
-            stats.effective_parallelism = workers;
-            let scan_epoch = self.table.governor.epoch();
-            let produced = map_indexed(chunks.len(), workers, |ci| {
-                // Chunk-boundary cooperation: surrender the timeslice when
-                // a committer entered the pipeline, so a long scan never
-                // monopolizes the pool while the commit path queues.
-                let mut seen = scan_epoch;
-                self.table.governor.chunk_yield(&mut seen);
-                let ch = chunks[ci];
-                let part = &parts[ch.part];
-                let n = (ch.end - ch.start) as usize;
-                let ms = &matchers[ch.part];
-                let mut hits = Bitmap::zeros(n);
-                part.code_vector(cols[0]).filter_range(
-                    ch.start as usize,
-                    ch.end as usize,
-                    &ms[0],
-                    &mut hits,
-                );
-                for (m, &c) in ms.iter().zip(&cols).skip(1) {
-                    if hits.count_ones() == 0 {
-                        break;
-                    }
-                    refine_bitmap(
-                        |i| part.code_at(i as Pos, c),
-                        ch.start as usize,
-                        m,
-                        &mut hits,
-                    );
-                }
-                // Visibility-AND: fold the snapshot bitmap into the hit
-                // bitmap word-wise instead of branching per hit.
-                vis[ch.part].mask_hits(&mut hits, ch.start);
-                let mut rows = Vec::with_capacity(hits.count_ones());
-                for k in hits.iter_ones() {
-                    let pos = ch.start + k as Pos;
-                    rows.push(VisibleRow {
-                        row_id: part.row_id(pos),
-                        values: self.main_row(PartHit { part: ch.part, pos }, proj, false),
-                    });
-                }
-                rows
-            });
-            out.extend(produced.into_iter().flatten());
-        }
-
-        // ---- L2 stages (frozen, then open) ----
-        let arity = self.table.schema.arity();
-        let l2_side = |l2: &L2Delta, fence: Pos, out: &mut Vec<VisibleRow>, st: &mut ScanStats| {
-            if fence == 0 {
-                return;
-            }
-            // One lock acquisition for every filter column + stamps; the
-            // dictionaries are probed once per conjunct, then rows are
-            // tested on raw codes. Visibility resolves inside the closure
-            // (it only touches the txn manager, never the L2 lock).
-            let keep: Vec<Pos> = l2.with_columns_stamped(&cols, fence, |views, begins, ends| {
-                let ms: Vec<CodeMatcher> = preds
-                    .iter()
-                    .zip(views)
-                    .map(|(p, (dict, _))| p.compile_for_l2(dict))
-                    .collect();
-                let mut keep = Vec::new();
-                if ms.iter().any(|m| m.never_matches()) {
-                    return keep;
-                }
-                let n = views[0].1.len();
-                for pos in 0..n {
-                    if !ms
-                        .iter()
-                        .zip(views)
-                        .all(|(m, (_, codes))| m.matches(codes[pos]))
-                    {
-                        continue;
-                    }
-                    let begin = begins[pos].load(Ordering::Acquire);
-                    let end = ends[pos].load(Ordering::Acquire);
-                    if self.visible(begin, end) {
-                        keep.push(pos as Pos);
-                    }
-                }
-                keep
-            });
-            st.code_filtered_rows += fence as u64;
-            for pos in keep {
-                out.push(VisibleRow {
-                    row_id: l2.row_id(pos),
-                    values: l2_row(l2, pos, arity, proj, false),
-                });
-            }
-        };
-        if let Some((frozen, fence)) = &self.l2_frozen {
-            l2_side(frozen, *fence, &mut out, &mut stats);
-        }
-        l2_side(&self.l2, self.l2_fence, &mut out, &mut stats);
-
-        // ---- L1 (row store): row-wise on values ----
-        for (_, slot) in self.l1.iter() {
-            stats.rowwise_rows += 1;
-            if preds
-                .iter()
-                .all(|p| p.matches_value(&slot.values[p.column()]))
-                && self.visible(slot.begin(), slot.end())
-            {
-                out.push(VisibleRow {
-                    row_id: slot.row_id,
-                    values: slot_row(&slot.values, proj, false),
-                });
-            }
-        }
-        Ok((out, stats))
+        batch::scan_rows(self, preds, proj, false)
     }
 
     /// Count visible rows. Wholly-visible parts contribute their length,
@@ -664,7 +363,7 @@ impl TableRead {
                     .expect("visibility resolved")
                     .is_visible(h.pos)
                 {
-                    rows.push(self.main_row(*h, proj, false));
+                    rows.push(self.main_row(*h, proj));
                 }
             }
             rows
@@ -694,18 +393,18 @@ impl TableRead {
         if let Some((frozen, fence)) = &self.l2_frozen {
             for pos in frozen.positions_eq(col, v, *fence) {
                 if self.visible(frozen.begin(pos), frozen.end(pos)) {
-                    out.push(l2_row(frozen, pos, arity, proj, false));
+                    out.push(l2_row(frozen, pos, arity, proj));
                 }
             }
         }
         for pos in self.l2.positions_eq(col, v, self.l2_fence) {
             if self.visible(self.l2.begin(pos), self.l2.end(pos)) {
-                out.push(l2_row(&self.l2, pos, arity, proj, false));
+                out.push(l2_row(&self.l2, pos, arity, proj));
             }
         }
         for (_, slot) in self.l1.iter() {
             if &slot.values[col] == v && self.visible(slot.begin(), slot.end()) {
-                out.push(slot_row(&slot.values, proj, false));
+                out.push(slot_row(&slot.values, proj));
             }
         }
         Ok(out)
@@ -753,277 +452,41 @@ impl TableRead {
         if let Some((frozen, fence)) = &self.l2_frozen {
             for pos in frozen.positions_range(col, lo, hi, *fence) {
                 if self.visible(frozen.begin(pos), frozen.end(pos)) {
-                    out.push(l2_row(frozen, pos, arity, proj, false));
+                    out.push(l2_row(frozen, pos, arity, proj));
                 }
             }
         }
         for pos in self.l2.positions_range(col, lo, hi, self.l2_fence) {
             if self.visible(self.l2.begin(pos), self.l2.end(pos)) {
-                out.push(l2_row(&self.l2, pos, arity, proj, false));
+                out.push(l2_row(&self.l2, pos, arity, proj));
             }
         }
         for (_, slot) in self.l1.iter() {
             if in_range(&slot.values[col]) && self.visible(slot.begin(), slot.end()) {
-                out.push(slot_row(&slot.values, proj, false));
+                out.push(slot_row(&slot.values, proj));
             }
         }
         Ok(out)
     }
 
-    /// One numeric decode table covering the *whole* main chain: global
-    /// code → numeric value (`NaN` for non-numeric entries). Built once per
-    /// scan — codes in part `p` never reference later parts, and every
-    /// row's NULL sentinel is checked against its own part before lookup,
-    /// so the sentinel slots colliding with the next part's base are
-    /// harmless.
-    fn chain_numeric_table(&self, col: usize) -> Vec<f64> {
-        let mut table = vec![f64::NAN; self.main.next_base(col) as usize + 1];
-        for p in self.main.parts() {
-            let base = p.base(col) as usize;
-            let dict = p.dict(col);
-            for local in 0..dict.len() as u32 {
-                if let Some(x) = dict.value_of(local).as_numeric() {
-                    table[base + local as usize] = x;
-                }
-            }
-        }
-        table
-    }
-
     /// Columnar aggregation over one numeric column: `(count, sum)` of
-    /// visible non-null values. The main path decodes the chain's
-    /// dictionaries once into a numeric lookup table and streams the
-    /// compressed code vectors in parallel chunks — the OLAP fast path the
-    /// unified table keeps even while serving OLTP. Chunk partials combine
-    /// in chunk order, so the float sum is independent of the worker count.
+    /// visible non-null values, folded over the [batch scan](crate::batch)
+    /// — the OLAP fast path the unified table keeps even while serving
+    /// OLTP. Unit partials combine in unit order, so the float sum is
+    /// independent of the worker count.
     pub fn aggregate_numeric(&self, col: usize) -> Result<(u64, f64)> {
-        self.schema_col(col)?;
-        let parts = self.main.parts();
-        let table = self.chain_numeric_table(col);
-        let vis: Vec<PartVisibility> = (0..parts.len())
-            .map(|pi| self.part_visibility(pi))
-            .collect();
-        let chunks = plan_chunks(parts);
-        let workers = self.scan_workers(chunks.len());
-        let scan_epoch = self.table.governor.epoch();
-        let partials = map_indexed(chunks.len(), workers, |ci| {
-            let mut seen = scan_epoch;
-            self.table.governor.chunk_yield(&mut seen);
-            let ch = chunks[ci];
-            let part = &parts[ch.part];
-            let null_code = part.null_code(col);
-            let (mut c, mut s) = (0u64, 0.0f64);
-            for pos in ch.start..ch.end {
-                if !vis[ch.part].is_visible(pos) {
-                    continue;
-                }
-                let code = part.code_at(pos, col);
-                if code == null_code {
-                    continue;
-                }
-                let x = table[code as usize];
-                if !x.is_nan() {
-                    c += 1;
-                    s += x;
-                }
-            }
-            (c, s)
-        });
-        let mut count = 0u64;
-        let mut sum = 0.0f64;
-        for (c, s) in partials {
-            count += c;
-            sum += s;
-        }
-        // L2 stages: decode via dictionary once; stamps come through the
-        // same lock acquisition (never re-lock inside the closure).
-        let mut l2_side = |l2: &L2Delta, fence: Pos| {
-            l2.with_column_stamped(col, fence, |dict, codes, begins, ends| {
-                let table: Vec<f64> = dict
-                    .values()
-                    .iter()
-                    .map(|v| v.as_numeric().unwrap_or(f64::NAN))
-                    .collect();
-                for (pos, &code) in codes.iter().enumerate() {
-                    let begin = begins[pos].load(Ordering::Acquire);
-                    let end = ends[pos].load(Ordering::Acquire);
-                    if code == L2_NULL_CODE || !self.visible(begin, end) {
-                        continue;
-                    }
-                    let x = table[code as usize];
-                    if !x.is_nan() {
-                        count += 1;
-                        sum += x;
-                    }
-                }
-            });
-        };
-        if let Some((frozen, fence)) = &self.l2_frozen {
-            l2_side(frozen, *fence);
-        }
-        l2_side(&self.l2, self.l2_fence);
-        // L1 rows.
-        for (_, slot) in self.l1.iter() {
-            if !self.visible(slot.begin(), slot.end()) {
-                continue;
-            }
-            if let Some(x) = slot.values[col].as_numeric() {
-                count += 1;
-                sum += x;
-            }
-        }
-        Ok((count, sum))
+        batch::aggregate_numeric(self, col)
     }
 
     /// Group-by aggregation: for each distinct value of `group_col`, the
-    /// `(count, sum)` over `agg_col` of visible rows.
-    ///
-    /// Columnar fast path: main chunks aggregate over dictionary *codes*
-    /// into dense accumulators in parallel, decode each surviving group key
-    /// once, and merge in chunk order (deterministic float sums); the L2
-    /// deltas aggregate per-code maps. Only the small L1 is processed
-    /// row-wise.
+    /// `(count, sum)` over `agg_col` of visible rows, accumulated by
+    /// dictionary code per scan unit and sorted by key.
     pub fn group_aggregate(
         &self,
         group_col: usize,
         agg_col: usize,
     ) -> Result<Vec<(Value, u64, f64)>> {
-        self.schema_col(group_col)?;
-        self.schema_col(agg_col)?;
-        let mut groups: rustc_hash::FxHashMap<Value, (u64, f64)> = Default::default();
-
-        // Main chunks: dense per-code accumulators over the chain-wide
-        // numeric table (built once — not once per part).
-        let parts = self.main.parts();
-        let num = self.chain_numeric_table(agg_col);
-        let vis: Vec<PartVisibility> = (0..parts.len())
-            .map(|pi| self.part_visibility(pi))
-            .collect();
-        let chunks = plan_chunks(parts);
-        let workers = self.scan_workers(chunks.len());
-        let scan_epoch = self.table.governor.epoch();
-        let partials: Vec<Vec<(Value, u64, f64)>> = map_indexed(chunks.len(), workers, |ci| {
-            let mut seen = scan_epoch;
-            self.table.governor.chunk_yield(&mut seen);
-            let ch = chunks[ci];
-            let part = &parts[ch.part];
-            let g_null = part.null_code(group_col);
-            let a_null = part.null_code(agg_col);
-            let mut acc = vec![(0u64, 0.0f64); g_null as usize + 1];
-            for pos in ch.start..ch.end {
-                if !vis[ch.part].is_visible(pos) {
-                    continue;
-                }
-                let g = part.code_at(pos, group_col) as usize;
-                let e = &mut acc[g];
-                e.0 += 1;
-                let a = part.code_at(pos, agg_col);
-                if a != a_null {
-                    let x = num[a as usize];
-                    if !x.is_nan() {
-                        e.1 += x;
-                    }
-                }
-            }
-            acc.into_iter()
-                .enumerate()
-                .filter(|&(_, (c, _))| c > 0)
-                .map(|(code, (c, s))| {
-                    let key = if code as u32 == g_null {
-                        Value::Null
-                    } else {
-                        self.main
-                            .value_of_code(group_col, code as u32)
-                            .expect("group code resolves in the chain")
-                    };
-                    (key, c, s)
-                })
-                .collect()
-        });
-        for chunk_groups in partials {
-            for (key, c, s) in chunk_groups {
-                let e = groups.entry(key).or_insert((0, 0.0));
-                e.0 += c;
-                e.1 += s;
-            }
-        }
-
-        // L2 stages: per-code accumulation through the unsorted dictionary.
-        let mut l2_side = |l2: &L2Delta, fence: Pos| {
-            let (decoded, null_acc) = l2.with_two_columns_stamped(
-                group_col,
-                agg_col,
-                fence,
-                |gd, gc, ad, ac, begins, ends| {
-                    let num_table: Vec<f64> = ad
-                        .values()
-                        .iter()
-                        .map(|v| v.as_numeric().unwrap_or(f64::NAN))
-                        .collect();
-                    let mut acc: rustc_hash::FxHashMap<hana_dict::Code, (u64, f64)> =
-                        Default::default();
-                    let mut null_acc = (0u64, 0.0f64);
-                    for pos in 0..gc.len() {
-                        let begin = begins[pos].load(Ordering::Acquire);
-                        let end = ends[pos].load(Ordering::Acquire);
-                        if !self.visible(begin, end) {
-                            continue;
-                        }
-                        let e = if gc[pos] == L2_NULL_CODE {
-                            &mut null_acc
-                        } else {
-                            acc.entry(gc[pos]).or_insert((0, 0.0))
-                        };
-                        e.0 += 1;
-                        let a = ac[pos];
-                        if a != L2_NULL_CODE {
-                            let x = num_table[a as usize];
-                            if !x.is_nan() {
-                                e.1 += x;
-                            }
-                        }
-                    }
-                    let decoded: Vec<(Value, u64, f64)> = acc
-                        .into_iter()
-                        .map(|(code, (c, s))| (gd.value_of(code).clone(), c, s))
-                        .collect();
-                    (decoded, null_acc)
-                },
-            );
-            for (key, c, s) in decoded {
-                let e = groups.entry(key).or_insert((0, 0.0));
-                e.0 += c;
-                e.1 += s;
-            }
-            if null_acc.0 > 0 {
-                let e = groups.entry(Value::Null).or_insert((0, 0.0));
-                e.0 += null_acc.0;
-                e.1 += null_acc.1;
-            }
-        };
-        if let Some((frozen, fence)) = &self.l2_frozen {
-            l2_side(frozen, *fence);
-        }
-        l2_side(&self.l2, self.l2_fence);
-
-        // L1 rows.
-        for (_, slot) in self.l1.iter() {
-            if !self.visible(slot.begin(), slot.end()) {
-                continue;
-            }
-            let e = groups
-                .entry(slot.values[group_col].clone())
-                .or_insert((0, 0.0));
-            e.0 += 1;
-            if let Some(x) = slot.values[agg_col].as_numeric() {
-                e.1 += x;
-            }
-        }
-
-        let mut out: Vec<(Value, u64, f64)> =
-            groups.into_iter().map(|(k, (c, s))| (k, c, s)).collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
+        batch::group_aggregate(self, group_col, agg_col)
     }
 
     /// The merged global sorted dictionary over all three stages (§3.1),

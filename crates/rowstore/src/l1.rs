@@ -362,9 +362,16 @@ impl L1Snapshot {
         L1Delta::find_segment(&self.segments, pos)?.slot_at(pos)
     }
 
-    /// Iterate `(logical position, slot)` over the fenced range.
+    /// Iterate `(logical position, slot)` over the fenced range, segment by
+    /// segment: each segment contributes its overlap with `[start, end)`
+    /// through direct slot indexing, so the walk never searches the segment
+    /// list per position.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &Slot)> + '_ {
-        (self.start..self.end).filter_map(move |p| self.slot(p).map(|s| (p, s)))
+        self.segments.iter().flat_map(move |seg| {
+            let lo = self.start.max(seg.first_pos);
+            let hi = self.end.min(seg.first_pos + seg.len() as u64);
+            (lo..hi).filter_map(move |p| seg.slot_at(p).map(|s| (p, s)))
+        })
     }
 }
 
@@ -441,6 +448,31 @@ mod tests {
         // The old snapshot still reads the physically dropped segment.
         assert_eq!(old.slot(5).unwrap().values[0], Value::Int(5));
         assert_eq!(old.iter().count(), n as usize);
+    }
+
+    #[test]
+    fn iter_walks_segments_within_the_fence() {
+        let l1 = L1Delta::new();
+        let n = SEGMENT_CAP as u64 * 2 + 300;
+        for i in 0..n {
+            l1.insert(RowId(i), vec![Value::Int(i as i64)], 1);
+        }
+        // Three segments; the fence starts mid-segment after a truncation
+        // that dropped the first segment physically, and ends before later
+        // inserts.
+        let cut = SEGMENT_CAP as u64 + 17;
+        l1.truncate_prefix(cut);
+        let snap = l1.snapshot();
+        for i in n..n + 50 {
+            l1.insert(RowId(i), vec![Value::Int(i as i64)], 1);
+        }
+        let seen: Vec<u64> = snap.iter().map(|(p, _)| p).collect();
+        assert_eq!(seen, (cut..n).collect::<Vec<_>>());
+        for (p, s) in snap.iter() {
+            assert_eq!(s.values[0], Value::Int(p as i64));
+            assert_eq!(snap.slot(p).unwrap().row_id, s.row_id);
+        }
+        assert_eq!(L1Delta::new().snapshot().iter().count(), 0);
     }
 
     #[test]

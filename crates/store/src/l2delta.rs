@@ -33,6 +33,19 @@ struct Inner {
     ends: Vec<AtomicU64>,
 }
 
+/// The fence-truncated raw parts of an L2-delta, borrowed under one lock
+/// acquisition (see [`L2Delta::with_columns_stamped`]).
+pub struct L2View<'a> {
+    /// `(dictionary, codes)` per requested column.
+    pub cols: Vec<(&'a UnsortedDict, &'a [Code])>,
+    /// Stable record ids.
+    pub row_ids: &'a [RowId],
+    /// MVCC begin stamps.
+    pub begins: &'a [AtomicU64],
+    /// MVCC end stamps.
+    pub ends: &'a [AtomicU64],
+}
+
 /// The second stage of the record life cycle.
 pub struct L2Delta {
     schema: Schema,
@@ -339,68 +352,35 @@ impl L2Delta {
         f(&colref.dict, &colref.codes[..n])
     }
 
-    /// Run `f` with read access to one column **plus the MVCC stamp
-    /// vectors**, all under one lock acquisition. The scan kernels need the
-    /// stamps for visibility checks; calling [`begin`](Self::begin)/
-    /// [`end`](Self::end) from inside a `with_column` closure would
-    /// re-acquire the inner lock recursively and deadlock against a queued
-    /// writer.
-    pub fn with_column_stamped<R>(
-        &self,
-        col: usize,
-        fence: Pos,
-        f: impl FnOnce(&UnsortedDict, &[Code], &[AtomicU64], &[AtomicU64]) -> R,
-    ) -> R {
-        let inner = self.inner.read();
-        let c = &inner.columns[col];
-        let n = (fence as usize).min(c.codes.len());
-        f(&c.dict, &c.codes[..n], &inner.begins[..n], &inner.ends[..n])
-    }
-
-    /// Two columns plus the MVCC stamps under one lock acquisition
-    /// (columnar group-by aggregation path).
-    pub fn with_two_columns_stamped<R>(
-        &self,
-        col_a: usize,
-        col_b: usize,
-        fence: Pos,
-        f: impl FnOnce(&UnsortedDict, &[Code], &UnsortedDict, &[Code], &[AtomicU64], &[AtomicU64]) -> R,
-    ) -> R {
-        let inner = self.inner.read();
-        let a = &inner.columns[col_a];
-        let b = &inner.columns[col_b];
-        let na = (fence as usize).min(a.codes.len());
-        let nb = (fence as usize).min(b.codes.len());
-        f(
-            &a.dict,
-            &a.codes[..na],
-            &b.dict,
-            &b.codes[..nb],
-            &inner.begins[..na],
-            &inner.ends[..na],
-        )
-    }
-
-    /// Arbitrarily many columns plus the MVCC stamps under one lock
-    /// acquisition — the compressed-domain filtered scan needs every filter
-    /// column and every projected column together. `views[i]` corresponds to
-    /// `cols[i]`; a column may be requested more than once.
+    /// Run `f` with read access to the requested columns **plus the record
+    /// ids and MVCC stamp vectors**, all under one lock acquisition — the
+    /// batch scan needs every filter and payload column together with the
+    /// stamps for visibility. Calling [`begin`](Self::begin)/
+    /// [`end`](Self::end)/[`row_id`](Self::row_id) from inside the closure
+    /// would re-acquire the inner lock recursively and deadlock against a
+    /// queued writer. `view.cols[i]` corresponds to `cols[i]`; a column may
+    /// be requested more than once.
     pub fn with_columns_stamped<R>(
         &self,
         cols: &[usize],
         fence: Pos,
-        f: impl FnOnce(&[(&UnsortedDict, &[Code])], &[AtomicU64], &[AtomicU64]) -> R,
+        f: impl FnOnce(&L2View<'_>) -> R,
     ) -> R {
         let inner = self.inner.read();
         let n = (fence as usize).min(inner.row_ids.len());
-        let views: Vec<(&UnsortedDict, &[Code])> = cols
-            .iter()
-            .map(|&c| {
-                let col = &inner.columns[c];
-                (&col.dict, &col.codes[..n])
-            })
-            .collect();
-        f(&views, &inner.begins[..n], &inner.ends[..n])
+        let view = L2View {
+            cols: cols
+                .iter()
+                .map(|&c| {
+                    let col = &inner.columns[c];
+                    (&col.dict, &col.codes[..n])
+                })
+                .collect(),
+            row_ids: &inner.row_ids[..n],
+            begins: &inner.begins[..n],
+            ends: &inner.ends[..n],
+        };
+        f(&view)
     }
 
     /// Snapshot of all MVCC stamps up to `fence` (used by merges).

@@ -19,5 +19,5 @@ pub mod l2delta;
 pub mod mainstore;
 
 pub use history::{HistoricVersion, HistoryStore};
-pub use l2delta::{L2Delta, L2_NULL_CODE};
+pub use l2delta::{L2Delta, L2View, L2_NULL_CODE};
 pub use mainstore::{MainColumnData, MainPart, MainStore, PartHit, VisBitmap};
