@@ -7,7 +7,9 @@
 //!   transactions are rewritten from `TXN_MARK | id` to their settled
 //!   timestamps (commit ts, or `COMMIT_TS_MAX` for an aborted deleter), so
 //!   readers stop paying commit-table lookups and — crucially — so the
-//!   commit table itself can shrink.
+//!   commit table itself can shrink. Main parts are swept by their
+//!   end-write log: only the end stamps written since the last sweep, plus
+//!   the ones it left open.
 //! * **Transaction-table trimming** — the [`TxnManager`]'s commit table and
 //!   aborted set grow with every finished transaction; once no stamp
 //!   anywhere references an entry, it is dropped. This is what keeps a
@@ -48,9 +50,10 @@
 //! [`MergeDaemon`]: hana_merge::MergeDaemon
 
 use crate::table::UnifiedTable;
+use hana_column::Pos;
 use hana_common::{Timestamp, TxnId, COMMIT_TS_MAX};
 use hana_merge::MergeTarget;
-use hana_store::L2Delta;
+use hana_store::{L2Delta, MainPart};
 use hana_txn::{Resolution, TxnManager};
 use parking_lot::Mutex;
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -59,12 +62,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-main-part sweep memo, keyed by part generation.
+#[derive(Default)]
 struct PartMemo {
-    /// `end_version()` when the part was last fully swept.
-    end_version: u64,
-    /// True if that sweep left no mark in the end stamps; together with an
-    /// unchanged `end_version` this lets the whole end sweep be skipped.
-    ends_clean: bool,
+    /// End-write log index swept up to.
+    cursor: u64,
+    /// Positions whose end mark was still in flight, or whose settling
+    /// compare-exchange lost to a racing writer: revisited next cycle.
+    open: Vec<Pos>,
     /// Transactions of begin-stamp marks (immutable in a built part): must
     /// stay resolvable for the part's whole lifetime.
     begin_refs: Vec<u64>,
@@ -85,6 +89,10 @@ pub struct SweepReport {
     pub referenced: FxHashSet<u64>,
     /// Marks rewritten to settled timestamps.
     pub marks_resolved: u64,
+    /// Main-part end stamps examined: the end-write log written since the
+    /// previous sweep plus the positions it left open — never the whole
+    /// part.
+    pub end_stamps_visited: u64,
     /// Vis-cache entries evicted below the watermark.
     pub vis_evicted: u64,
     /// Superseded/aborted versions awaiting their reclaiming merge.
@@ -92,6 +100,20 @@ pub struct SweepReport {
     /// L2 dictionary codes no live row references (reclaimed by the next
     /// delta-to-main merge's filtered dictionary build).
     pub dead_dict_codes: u64,
+}
+
+impl SweepReport {
+    fn empty(watermark_start: Timestamp) -> Self {
+        SweepReport {
+            watermark_start,
+            referenced: FxHashSet::default(),
+            marks_resolved: 0,
+            end_stamps_visited: 0,
+            vis_evicted: 0,
+            dead_versions: 0,
+            dead_dict_codes: 0,
+        }
+    }
 }
 
 /// Monotonic GC counters (shared by every [`TableGc`] of a database).
@@ -224,11 +246,9 @@ enum MarkFate {
     /// Rewrite to this timestamp (commit ts, or `COMMIT_TS_MAX` for an
     /// aborted end stamp).
     Rewrite(Timestamp),
-    /// Leave in place: `keep_ref` says whether the trim must preserve the
-    /// transaction's entry (committed marks yes; active/aborted no — an
-    /// active txn is not in the commit table, and unknown ids already
-    /// resolve as aborted).
-    Keep { txn: u64, keep_ref: bool },
+    /// Leave the mark of this transaction in place (still running, or an
+    /// aborted begin).
+    Keep(u64),
 }
 
 fn end_fate(mgr: &TxnManager, ts: Timestamp) -> MarkFate {
@@ -237,10 +257,7 @@ fn end_fate(mgr: &TxnManager, ts: Timestamp) -> MarkFate {
         Some(writer) => match mgr.resolve_mark(writer) {
             Resolution::Committed(cts) => MarkFate::Rewrite(cts),
             Resolution::Aborted => MarkFate::Rewrite(COMMIT_TS_MAX),
-            Resolution::Uncommitted(_) => MarkFate::Keep {
-                txn: writer.0,
-                keep_ref: false,
-            },
+            Resolution::Uncommitted(_) => MarkFate::Keep(writer.0),
         },
     }
 }
@@ -253,14 +270,49 @@ fn begin_fate(mgr: &TxnManager, ts: Timestamp) -> MarkFate {
             // An aborted begin stays a mark (the row is garbage a merge
             // will drop); unknown ids resolve as aborted, so the entry
             // needs no protection.
-            Resolution::Aborted | Resolution::Uncommitted(_) => MarkFate::Keep {
-                txn: match mgr.resolve_mark(writer) {
-                    Resolution::Uncommitted(t) => t.0,
-                    _ => writer.0,
-                },
-                keep_ref: false,
-            },
+            Resolution::Aborted | Resolution::Uncommitted(_) => MarkFate::Keep(writer.0),
         },
+    }
+}
+
+/// Settle the end stamps of main `part` that can have changed since the
+/// last sweep: its end-write log past `memo.cursor` plus `memo.open` —
+/// work proportional to the deletions since, not to the part. Marks still
+/// in flight (their transactions stay `referenced`) and rewrites that lost
+/// their compare-exchange to a racing writer stay open for the next cycle.
+/// `before_rewrite` runs between reading a stamp and rewriting it (tests
+/// race a writer into that window).
+fn settle_part_ends(
+    mgr: &TxnManager,
+    part: &MainPart,
+    memo: &mut PartMemo,
+    rep: &mut SweepReport,
+    before_rewrite: impl Fn(Pos),
+) {
+    let fresh = part.ends_since(memo.cursor);
+    memo.cursor += fresh.len() as u64;
+    let mut todo = std::mem::take(&mut memo.open);
+    todo.extend(fresh);
+    todo.sort_unstable();
+    todo.dedup();
+    for pos in todo {
+        rep.end_stamps_visited += 1;
+        let end = part.end(pos);
+        match end_fate(mgr, end) {
+            MarkFate::Settled => {}
+            MarkFate::Rewrite(settled) => {
+                before_rewrite(pos);
+                if part.resolve_end(pos, end, settled) {
+                    rep.marks_resolved += 1;
+                } else {
+                    memo.open.push(pos);
+                }
+            }
+            MarkFate::Keep(txn) => {
+                memo.open.push(pos);
+                rep.referenced.insert(txn);
+            }
+        }
     }
 }
 
@@ -272,14 +324,7 @@ impl UnifiedTable {
     /// racing real store.
     pub fn gc_sweep(&self) -> SweepReport {
         let watermark_start = self.mgr.watermark();
-        let mut rep = SweepReport {
-            watermark_start,
-            referenced: FxHashSet::default(),
-            marks_resolved: 0,
-            vis_evicted: 0,
-            dead_versions: 0,
-            dead_dict_codes: 0,
-        };
+        let mut rep = SweepReport::empty(watermark_start);
 
         // L1 slots.
         let snap = self.l1.snapshot();
@@ -291,7 +336,7 @@ impl UnifiedTable {
                         rep.marks_resolved += 1;
                     }
                 }
-                MarkFate::Settled | MarkFate::Keep { .. } => {}
+                MarkFate::Settled | MarkFate::Keep(_) => {}
             }
             let end = slot.end();
             match end_fate(&self.mgr, end) {
@@ -308,7 +353,7 @@ impl UnifiedTable {
                         rep.dead_versions += 1;
                     }
                 }
-                MarkFate::Keep { .. } => {}
+                MarkFate::Keep(_) => {}
             }
         }
 
@@ -333,72 +378,24 @@ impl UnifiedTable {
         gc_state.parts.retain(|gen, _| live_gens.contains(gen));
         for part in main.parts() {
             rep.vis_evicted += part.evict_visibility_below(watermark_start) as u64;
-            let gen = part.generation();
-            let end_version = part.end_version();
-
-            // Begin stamps of a built part are immutable; marks there (from
-            // recovery images taken mid-transaction) pin their txn entries
-            // for the part's lifetime. Computed once per generation.
-            if part.begins_marked() && !gc_state.parts.contains_key(&gen) {
-                let mut begin_refs = Vec::new();
-                for pos in 0..part.len() as u32 {
-                    if let Some(writer) = TxnId::from_mark(part.begin(pos)) {
-                        begin_refs.push(writer.0);
-                    }
-                }
-                gc_state.parts.insert(
-                    gen,
-                    PartMemo {
-                        end_version: u64::MAX, // force the first end sweep
-                        ends_clean: false,
-                        begin_refs,
-                    },
-                );
-            }
-            if let Some(memo) = gc_state.parts.get(&gen) {
-                rep.referenced.extend(memo.begin_refs.iter().copied());
-                if memo.ends_clean && memo.end_version == end_version {
-                    continue; // nothing can have changed since the last sweep
-                }
-            }
-
-            let mut ends_clean = true;
-            for pos in 0..part.len() as u32 {
-                let end = part.end(pos);
-                match end_fate(&self.mgr, end) {
-                    MarkFate::Rewrite(settled) => {
-                        if part.resolve_end(pos, end, settled) {
-                            rep.marks_resolved += 1;
-                        } else {
-                            // Lost to a racing deleter; revisit next cycle.
-                            ends_clean = false;
-                        }
-                    }
-                    MarkFate::Settled => {}
-                    MarkFate::Keep { txn, keep_ref } => {
-                        ends_clean = false;
-                        if keep_ref {
-                            rep.referenced.insert(txn);
-                        }
-                    }
-                }
-            }
-            let begin_refs = gc_state
+            let memo = gc_state
                 .parts
-                .remove(&gen)
-                .map(|m| m.begin_refs)
-                .unwrap_or_default();
-            gc_state.parts.insert(
-                gen,
-                PartMemo {
-                    // Version *after* our rewrites: resolve_end never bumps
-                    // it, so an unchanged value next cycle means no real
-                    // deleter wrote in between.
-                    end_version: part.end_version(),
-                    ends_clean,
-                    begin_refs,
-                },
-            );
+                .entry(part.generation())
+                .or_insert_with(|| PartMemo {
+                    // Begin stamps of a built part are immutable; marks there
+                    // (from recovery images taken mid-transaction) pin their
+                    // txn entries for the part's lifetime.
+                    begin_refs: if part.begins_marked() {
+                        (0..part.len() as Pos)
+                            .filter_map(|pos| TxnId::from_mark(part.begin(pos)).map(|t| t.0))
+                            .collect()
+                    } else {
+                        Vec::new()
+                    },
+                    ..PartMemo::default()
+                });
+            rep.referenced.extend(memo.begin_refs.iter().copied());
+            settle_part_ends(&self.mgr, part, memo, &mut rep, |_| {});
         }
         rep
     }
@@ -419,7 +416,7 @@ impl UnifiedTable {
                     }
                 }
                 MarkFate::Settled => {}
-                MarkFate::Keep { .. } => {
+                MarkFate::Keep(_) => {
                     // Aborted insert: the row is garbage. (An uncommitted
                     // insert is conservatively treated as live.)
                     if matches!(
@@ -440,7 +437,7 @@ impl UnifiedTable {
                     settled
                 }
                 MarkFate::Settled => end,
-                MarkFate::Keep { .. } => COMMIT_TS_MAX,
+                MarkFate::Keep(_) => COMMIT_TS_MAX,
             };
             let dead = settled_end <= watermark;
             if dead && begin_live {
@@ -514,5 +511,143 @@ impl MergeTarget for TableGc {
             .absorb(self.table.txn_manager(), self.table.id().0, report);
         // Never count as a merge, never arm the daemon's failure backoff.
         Ok(false)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scan::stamped_part;
+    use hana_txn::IsolationLevel;
+
+    /// One sweep of `part`'s end stamps, as `gc_sweep` runs it.
+    fn sweep(mgr: &TxnManager, part: &MainPart, memo: &mut PartMemo) -> SweepReport {
+        let mut rep = SweepReport::empty(mgr.watermark());
+        settle_part_ends(mgr, part, memo, &mut rep, |_| {});
+        rep
+    }
+
+    #[test]
+    fn sweeps_visit_only_the_end_writes_since_the_last() {
+        const ROWS: usize = 100_000;
+        let mgr = TxnManager::new();
+        let part = stamped_part(0, vec![1; ROWS], vec![COMMIT_TS_MAX; ROWS]);
+        let mut memo = PartMemo::default();
+        assert_eq!(sweep(&mgr, &part, &mut memo).end_stamps_visited, 0);
+        let mut writer = mgr.begin(IsolationLevel::Transaction);
+        for k in 0..50u32 {
+            part.store_end(k * 1_999, writer.id().mark());
+        }
+        // In flight: all 50 visited, none settled, all left open.
+        let rep = sweep(&mgr, &part, &mut memo);
+        assert_eq!((rep.end_stamps_visited, rep.marks_resolved), (50, 0));
+        assert_eq!(memo.open.len(), 50);
+        writer.commit().unwrap();
+        // Two more writes: the sweep visits them plus the open ones, never
+        // the other ~100k stamps.
+        let other = mgr.begin(IsolationLevel::Transaction);
+        part.store_end(5, other.id().mark());
+        part.store_end(6, other.id().mark());
+        let open_before = memo.open.len() as u64;
+        let rep = sweep(&mgr, &part, &mut memo);
+        assert!(rep.end_stamps_visited <= 2 + open_before);
+        assert_eq!(rep.end_stamps_visited, 52);
+        assert_eq!(rep.marks_resolved, 50);
+        assert_eq!(memo.open, vec![5, 6]);
+        drop(other); // aborts: the closes reopen
+        let rep = sweep(&mgr, &part, &mut memo);
+        assert_eq!((rep.end_stamps_visited, rep.marks_resolved), (2, 2));
+        assert_eq!(part.end(5), COMMIT_TS_MAX);
+        // Nothing written since: nothing visited.
+        assert_eq!(sweep(&mgr, &part, &mut memo).end_stamps_visited, 0);
+    }
+
+    #[test]
+    fn in_flight_mark_stays_referenced_and_resolves_once() {
+        let mgr = TxnManager::new();
+        let part = stamped_part(0, vec![1; 10], vec![COMMIT_TS_MAX; 10]);
+        let mut memo = PartMemo::default();
+        let mut writer = mgr.begin(IsolationLevel::Transaction);
+        part.store_end(4, writer.id().mark());
+        for _ in 0..2 {
+            let rep = sweep(&mgr, &part, &mut memo);
+            assert!(rep.referenced.contains(&writer.id().0));
+            assert_eq!(rep.marks_resolved, 0);
+            assert_eq!(rep.end_stamps_visited, 1);
+        }
+        let cts = writer.commit().unwrap();
+        let rep = sweep(&mgr, &part, &mut memo);
+        assert_eq!(rep.marks_resolved, 1);
+        assert!(rep.referenced.is_empty());
+        assert_eq!(part.end(4), cts);
+        let rep = sweep(&mgr, &part, &mut memo);
+        assert_eq!((rep.end_stamps_visited, rep.marks_resolved), (0, 0));
+    }
+
+    #[test]
+    fn lost_rewrite_is_revisited() {
+        let mgr = TxnManager::new();
+        let part = stamped_part(0, vec![1; 10], vec![COMMIT_TS_MAX; 10]);
+        let mut memo = PartMemo::default();
+        let mut first = mgr.begin(IsolationLevel::Transaction);
+        part.store_end(2, first.id().mark());
+        first.abort().unwrap();
+        // A second writer closes the reopened row between the sweep's read
+        // of the aborted mark and its compare-exchange.
+        let mut second = mgr.begin(IsolationLevel::Transaction);
+        let mut rep = SweepReport::empty(mgr.watermark());
+        settle_part_ends(&mgr, &part, &mut memo, &mut rep, |pos| {
+            part.store_end(pos, second.id().mark())
+        });
+        assert_eq!(rep.marks_resolved, 0, "the rewrite lost its race");
+        assert_eq!(memo.open, vec![2]);
+        let rep = sweep(&mgr, &part, &mut memo);
+        assert_eq!(rep.end_stamps_visited, 1, "open and logged: visited once");
+        assert!(rep.referenced.contains(&second.id().0));
+        let cts = second.commit().unwrap();
+        assert_eq!(sweep(&mgr, &part, &mut memo).marks_resolved, 1);
+        assert_eq!(part.end(2), cts);
+    }
+
+    #[test]
+    fn initial_marks_settle_without_a_full_walk() {
+        const ROWS: usize = 100_000;
+        let mgr = TxnManager::new();
+        let mut committed = mgr.begin(IsolationLevel::Transaction);
+        let (id, mark) = (committed.id().0, committed.id().mark());
+        let cts = committed.commit().unwrap();
+        // A recovery image: a begin mark, three end marks, two settled ends.
+        let mut begins = vec![1; ROWS];
+        begins[10] = mark;
+        let mut ends = vec![COMMIT_TS_MAX; ROWS];
+        for pos in [20, 30_000, 99_999] {
+            ends[pos] = mark;
+        }
+        ends[40] = 1;
+        ends[50] = 1;
+        let part = stamped_part(0, begins, ends);
+        let table = crate::table::UnifiedTable::standalone(
+            hana_common::Schema::new(
+                "t",
+                vec![hana_common::ColumnDef::new(
+                    "id",
+                    hana_common::DataType::Int,
+                )],
+            )
+            .unwrap(),
+            hana_common::TableConfig::default(),
+            Arc::clone(&mgr),
+        );
+        table.state.write().main = Arc::new(hana_store::MainStore::from_parts(
+            table.schema.clone(),
+            vec![Arc::new(part)],
+        ));
+        let rep = table.gc_sweep();
+        assert_eq!(rep.end_stamps_visited, 5);
+        assert_eq!(rep.marks_resolved, 3);
+        assert!(rep.referenced.contains(&id), "begin marks pin their txn");
+        let main = Arc::clone(&table.state.read().main);
+        assert_eq!(main.parts()[0].end(30_000), cts);
+        assert_eq!(table.gc_sweep().end_stamps_visited, 0);
     }
 }

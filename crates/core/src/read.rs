@@ -12,26 +12,24 @@
 //! Scans, projections and the columnar aggregates are folds over the one
 //! [batch scan](crate::batch); this module keeps what is not a scan: opening
 //! a view, per-part visibility resolution (the wholly-visible summary or a
-//! cached per-snapshot bitmap, see [`MainPart::cached_visibility`]), and the
-//! point/range paths through the dictionaries and inverted indexes.
+//! per-snapshot bitmap cached on the part and advanced over its end-write
+//! log, see [`PartVisibility::resolve`]), and the point/range paths through
+//! the dictionaries and inverted indexes.
 
 use crate::batch;
 use crate::filter::{ColumnPredicate, ScanStats};
-use crate::scan::{plan_ranges, PartVisibility};
+use crate::scan::{plan_ranges, Lookup, PartVisibility};
 use crate::table::UnifiedTable;
-use hana_column::{Bitmap, Pos};
-use hana_common::{HanaError, Result, RowId, Timestamp, TxnId, Value};
+use hana_column::Pos;
+use hana_common::{HanaError, Result, RowId, Timestamp, Value};
 use hana_dict::GlobalSortedDict;
 use hana_merge::{effective_workers, map_indexed};
 use hana_rowstore::L1Snapshot;
-use hana_store::{L2Delta, MainStore, PartHit, VisBitmap};
+use hana_store::{L2Delta, MainStore, PartHit};
 use hana_txn::{version_visible, Snapshot, Transaction};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-#[allow(unused_imports)] // referenced by the module docs
-use hana_store::MainPart;
 
 /// A consistent, merge-proof view of one table under one snapshot.
 pub struct TableRead {
@@ -149,9 +147,9 @@ impl TableRead {
 
     /// `(hits, misses)` of the per-part visibility-bitmap cache as seen by
     /// this view. A *hit* reused a bitmap cached by an earlier statement at
-    /// the same snapshot; a *miss* computed one from raw MVCC stamps.
-    /// Wholly-visible parts bypass the bitmaps entirely and count as
-    /// neither.
+    /// the same snapshot, advanced over the end writes since; a *miss*
+    /// computed one from every raw MVCC stamp of the part. Wholly-visible
+    /// parts bypass the bitmaps entirely and count as neither.
     pub fn vis_cache_stats(&self) -> (u64, u64) {
         (
             self.cache_hits.load(Ordering::Relaxed),
@@ -203,50 +201,21 @@ impl TableRead {
         }
     }
 
-    /// Resolve the visibility of main part `pi` under this snapshot:
-    /// the wholly-visible summary when it applies, a cached bitmap when one
-    /// matches, or a freshly computed bitmap (cached for later statements
-    /// unless the snapshot timestamp lies in the future — time travel —
-    /// where a later commit could still slide under it).
+    /// Resolve the visibility of main part `pi` under this snapshot (see
+    /// [`PartVisibility::resolve`]) and count the cache outcome.
     pub(crate) fn part_visibility(&self, pi: usize) -> PartVisibility {
-        let part = &self.main.parts()[pi];
-        let ts = self.snap.ts();
-        if part.fully_visible_at(ts) {
-            return PartVisibility::All;
-        }
-        let txn = self.snap.txn();
-        if let Some(entry) = part.cached_visibility(ts, txn) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return PartVisibility::Filtered(entry);
-        }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        // Capture the end-stamp version *before* reading any stamp: a
-        // deletion landing mid-scan then invalidates the cached entry
-        // instead of racing it.
-        let end_version = part.end_version();
-        let mut visible = Bitmap::zeros(part.len());
-        let mut txn_sensitive = false;
-        for pos in 0..part.len() as Pos {
-            let begin = part.begin(pos);
-            let end = part.end(pos);
-            if TxnId::from_mark(begin).is_some() || TxnId::from_mark(end).is_some() {
-                txn_sensitive = true;
+        let (vis, lookup) =
+            PartVisibility::resolve(&self.table.mgr, &self.snap, &self.main.parts()[pi]);
+        match lookup {
+            Lookup::Summary => {}
+            Lookup::Hit => {
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
             }
-            if self.visible(begin, end) {
-                visible.set(pos as usize);
+            Lookup::Miss => {
+                self.cache_misses.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let entry = Arc::new(VisBitmap {
-            ts,
-            txn,
-            txn_sensitive,
-            end_version,
-            visible,
-        });
-        if ts <= self.table.mgr.now() {
-            part.store_visibility(Arc::clone(&entry), self.table.mgr.watermark());
-        }
-        PartVisibility::Filtered(entry)
+        vis
     }
 
     /// Materialize one main row under a projection (see [`l2_row`]).
@@ -732,11 +701,28 @@ mod tests {
         let r2 = t.read(&reader);
         assert_eq!(r2.count(), 99);
         assert_eq!(r2.vis_cache_stats(), (1, 0));
+        // Another writer's delete and commit between statements no longer
+        // costs a rebuild: the entry advances over the one logged position
+        // (still visible to this snapshot).
+        let mut del = mgr.begin(IsolationLevel::Transaction);
+        t.delete_where(&del, hana_common::ColumnId(0), &Value::Int(8))
+            .unwrap();
+        let r3 = t.read(&reader);
+        assert_eq!(r3.count(), 99);
+        assert_eq!(r3.vis_cache_stats(), (1, 0));
+        del.commit().unwrap();
+        assert_eq!(t.read(&reader).count(), 99);
+        // The reader's own delete flips a bit: patched, still a hit.
+        t.delete_where(&reader, hana_common::ColumnId(0), &Value::Int(9))
+            .unwrap();
+        let r4 = t.read(&reader);
+        assert_eq!(r4.count(), 98);
+        assert_eq!(r4.vis_cache_stats(), (1, 0));
         // A snapshot at a different timestamp recomputes.
         let later = mgr.begin(IsolationLevel::Transaction);
-        let r3 = t.read(&later);
-        assert_eq!(r3.count(), 99);
-        assert_eq!(r3.vis_cache_stats(), (0, 1));
+        let r5 = t.read(&later);
+        assert_eq!(r5.count(), 98);
+        assert_eq!(r5.vis_cache_stats(), (0, 1));
     }
 
     #[test]

@@ -4,12 +4,15 @@
 //!
 //! * `data.pages` — the page store. Pages 0 and 1 are the two alternating
 //!   superblock slots holding the savepoint manifest (version counter,
-//!   clock, virtual-file list, CRC-protected). A savepoint writes all table
-//!   images as virtual files, then flips the superblock, then rotates the
-//!   REDO log to the new epoch — crash-safe at every step: until the new
-//!   superblock is synced, recovery still sees the previous savepoint plus
-//!   the old log; after the flip, a stale-epoch log is ignored rather than
-//!   replayed onto images that already contain its rows.
+//!   clock, configs, and the descriptor of the *file directory*: a sealed
+//!   virtual file listing every table image's pages, so the image set is
+//!   not bounded by one page). A savepoint writes all table images and
+//!   then the directory as virtual files, then flips the superblock, then
+//!   rotates the REDO log to the new epoch — crash-safe at every step:
+//!   until the new superblock is synced, recovery still sees the previous
+//!   savepoint plus the old log; after the flip, a stale-epoch log is
+//!   ignored rather than replayed onto images that already contain its
+//!   rows.
 //! * `redo.log` — the REDO log since the last savepoint, headered with the
 //!   epoch (savepoint version) its records apply on top of.
 //!
@@ -75,7 +78,34 @@ struct Manifest {
     clock: Timestamp,
     commit_config: CommitConfig,
     governor_config: GovernorConfig,
-    files: Vec<VirtualFile>,
+}
+
+/// Where a superblock lists its images: in the file directory, or inline
+/// (manifests written before the directory existed).
+enum Listing {
+    Inline(Vec<VirtualFile>),
+    Directory(VirtualFile),
+}
+
+/// Sentinel in the superblock's file-count position announcing a file
+/// directory instead of an inline list (no inline manifest ever listed
+/// `u32::MAX` files).
+const DIRECTORY: u32 = u32::MAX;
+
+/// The virtual files of one savepoint: the table images and the directory
+/// listing them (empty for savepoints that listed them inline).
+#[derive(Default)]
+struct Live {
+    version: u64,
+    directory: VirtualFile,
+    images: Vec<VirtualFile>,
+}
+
+impl Live {
+    /// Every virtual file the savepoint references.
+    fn files(&self) -> impl Iterator<Item = &VirtualFile> {
+        std::iter::once(&self.directory).chain(&self.images)
+    }
 }
 
 /// Page bookkeeping snapshot: on a freshly opened store,
@@ -122,9 +152,9 @@ pub struct Persistence {
     /// manifest/scrub paths of this instance.
     integrity: Arc<IntegrityState>,
     scrub: Mutex<ScrubCursor>,
-    /// Version counter + the previous savepoint's virtual files (released
-    /// after the next successful savepoint).
-    state: Mutex<(u64, Vec<VirtualFile>)>,
+    /// The live savepoint's version and virtual files (released after the
+    /// next successful savepoint).
+    state: Mutex<Live>,
 }
 
 impl Persistence {
@@ -161,7 +191,7 @@ impl Persistence {
         )?;
         let (best, saw_corruption) = read_best_valid_manifest(&pages);
         let state = match best {
-            Some(l) => (l.manifest.version, l.manifest.files),
+            Some(l) => l.live,
             None => {
                 // A log rotated past epoch 0 proves a savepoint once
                 // published a manifest. If no slot is recoverable now, the
@@ -181,25 +211,20 @@ impl Persistence {
                         log.epoch()
                     )));
                 }
-                (0, Vec::new())
+                Live::default()
             }
         };
         // Reconcile the log epoch with the recovered manifest. A crash
         // between the superblock flip and the log rotation leaves a
         // stale-epoch log whose rows the images already contain; rotating
         // here discards it before any new record could land behind them.
-        if log.epoch() != state.0 {
-            log.rotate(state.0)?;
+        if log.epoch() != state.version {
+            log.rotate(state.version)?;
         }
         // Reconstruct the free list: every allocated page the live manifest
         // does not reference is reclaimable. This is what un-leaks pages a
         // crashed savepoint had allocated for images it never published.
-        let mut live: FxHashSet<u64> = FxHashSet::default();
-        for f in &state.1 {
-            for p in &f.pages {
-                live.insert(p.0);
-            }
-        }
+        let live: FxHashSet<u64> = state.files().flat_map(|f| &f.pages).map(|p| p.0).collect();
         let free: Vec<PageId> = (2..pages.allocated_pages())
             .filter(|p| !live.contains(p))
             .map(PageId)
@@ -258,13 +283,21 @@ impl Persistence {
     /// (superblock slots excluded). The corruption-injection surface.
     pub fn live_page_ids(&self) -> Vec<u64> {
         let state = self.state.lock();
-        let mut v: Vec<u64> = state
-            .1
-            .iter()
-            .flat_map(|f| f.pages.iter().map(|p| p.0))
-            .collect();
+        let mut v: Vec<u64> = state.files().flat_map(|f| &f.pages).map(|p| p.0).collect();
         v.sort_unstable();
         v
+    }
+
+    /// Page ids of the live savepoint's file directory, in file order
+    /// (empty for a savepoint that listed its images inline).
+    pub fn directory_page_ids(&self) -> Vec<u64> {
+        self.state
+            .lock()
+            .directory
+            .pages
+            .iter()
+            .map(|p| p.0)
+            .collect()
     }
 
     /// One batch of background scrubbing: verify up to `max_pages` on-disk
@@ -281,10 +314,8 @@ impl Persistence {
         let (version, targets, files) = {
             let state = self.state.lock();
             let mut v = vec![PageId(0), PageId(1)];
-            for f in &state.1 {
-                v.extend(f.pages.iter().copied());
-            }
-            (state.0, v, state.1.clone())
+            v.extend(state.files().flat_map(|f| &f.pages));
+            (state.version, v, state.images.clone())
         };
         let mut tick = ScrubTick::default();
         let mut cursor = self.scrub.lock();
@@ -417,7 +448,7 @@ impl Persistence {
     /// Page bookkeeping snapshot (see [`PageAccounting`]).
     pub fn page_accounting(&self) -> PageAccounting {
         let state = self.state.lock();
-        let live = state.1.iter().map(|f| f.pages.len() as u64).sum();
+        let live = state.files().map(|f| f.pages.len() as u64).sum();
         PageAccounting {
             allocated: self.pages.allocated_pages(),
             free: self.pages.free_pages(),
@@ -465,9 +496,13 @@ impl Persistence {
         images: &[TableImage],
     ) -> Result<u64> {
         let mut state = self.state.lock();
-        let version = state.0 + 1;
-        let release_all = |files: &[VirtualFile]| {
-            for f in files {
+        let mut new = Live {
+            version: state.version + 1,
+            ..Live::default()
+        };
+        let version = new.version;
+        let release = |live: &Live| {
+            for f in live.files() {
                 f.release(&self.pages);
             }
         };
@@ -476,44 +511,58 @@ impl Persistence {
         //    own envelope (salted with the savepoint version) on top of the
         //    per-page checksums, so a whole image can be re-verified without
         //    trusting the page layer — the scrub's end-to-end check.
-        let mut files = Vec::with_capacity(images.len());
         for img in images {
             let mut e = Encoder::new();
             img.encode(&mut e);
             let blob = integrity::seal(ArtifactKind::TableImage, version, &e.into_bytes());
             match VirtualFile::write(&self.pages, &blob) {
-                Ok(f) => files.push(f),
+                Ok(f) => new.images.push(f),
                 Err(e) => {
                     // The failed file released its own pages; drop the
                     // completed ones too.
-                    release_all(&files);
+                    release(&new);
                     return Err(e);
                 }
             }
         }
+
+        // 2. List the images' pages in the file directory, a virtual file
+        //    of its own (sealed and salted like the images), so the image
+        //    set is not bounded by what one superblock page can list.
+        let mut d = Encoder::new();
+        d.u32(new.images.len() as u32);
+        for f in &new.images {
+            f.encode(&mut d);
+        }
+        let listing = integrity::seal(ArtifactKind::Manifest, version, &d.into_bytes());
+        match VirtualFile::write(&self.pages, &listing) {
+            Ok(f) => new.directory = f,
+            Err(e) => {
+                release(&new);
+                return Err(e);
+            }
+        }
         if let Err(e) = self.pages.sync() {
-            release_all(&files);
+            release(&new);
             return Err(e);
         }
 
-        // 2. Flip the superblock (slot = version % 2).
+        // 3. Flip the superblock (slot = version % 2).
         let mut m = Encoder::new();
         m.u64(version);
         m.u64(clock);
         encode_commit_config(&mut m, commit_config);
         encode_governor_config(&mut m, governor_config);
-        m.u32(files.len() as u32);
-        for f in &files {
-            f.encode(&mut m);
-        }
-        // The manifest rides its page's envelope: the superblock slot *is*
-        // the page id, so the page checksum (salted with it) already binds
-        // and verifies the manifest end-to-end.
+        m.u32(DIRECTORY);
+        new.directory.encode(&mut m);
+        // The superblock rides its page's envelope: the slot *is* the page
+        // id, so the page checksum (salted with it) already binds and
+        // verifies it end-to-end.
         let payload = m.into_bytes();
         if let Err(e) = self.pages.write_page(PageId(version % 2), &payload) {
             // Nothing durable changed (a torn slot fails its CRC and falls
             // back): the old savepoint still wins. Reclaim the new pages.
-            release_all(&files);
+            release(&new);
             return Err(e);
         }
         if let Err(e) = self.pages.sync() {
@@ -527,7 +576,7 @@ impl Persistence {
             return Err(e);
         }
 
-        // 3. Rotate the log to the new epoch and release the previous
+        // 4. Rotate the log to the new epoch and release the previous
         //    savepoint's pages.
         if let Err(e) = self.log.rotate(version) {
             // The new manifest IS durable but the log still carries the old
@@ -537,8 +586,7 @@ impl Persistence {
                 .wedge("savepoint manifest flipped but log rotation failed");
             return Err(e);
         }
-        let prev_files = std::mem::replace(&mut *state, (version, files)).1;
-        release_all(&prev_files);
+        release(&std::mem::replace(&mut *state, new));
         Ok(version)
     }
 
@@ -649,6 +697,7 @@ fn decode_governor_config(d: &mut Decoder<'_>) -> Result<GovernorConfig> {
 /// and every image blob it references verified and decoded.
 struct LoadedManifest {
     manifest: Manifest,
+    live: Live,
     images: Vec<TableImage>,
 }
 
@@ -662,24 +711,38 @@ enum Slot {
     Corrupt,
 }
 
-fn parse_manifest(payload: &[u8]) -> Option<Manifest> {
+fn parse_manifest(payload: &[u8]) -> Option<(Manifest, Listing)> {
     let mut d = Decoder::new(payload);
-    let version = d.u64().ok()?;
-    let clock = d.u64().ok()?;
-    let commit_config = decode_commit_config(&mut d).ok()?;
-    let governor_config = decode_governor_config(&mut d).ok()?;
-    let n = d.u32().ok()? as usize;
-    let mut files = Vec::with_capacity(n);
+    let manifest = Manifest {
+        version: d.u64().ok()?,
+        clock: d.u64().ok()?,
+        commit_config: decode_commit_config(&mut d).ok()?,
+        governor_config: decode_governor_config(&mut d).ok()?,
+    };
+    let listing = match d.u32().ok()? {
+        DIRECTORY => Listing::Directory(VirtualFile::decode(&mut d).ok()?),
+        n => Listing::Inline(decode_files(&mut d, n).ok()?),
+    };
+    Some((manifest, listing))
+}
+
+/// `n` virtual-file descriptors.
+fn decode_files(d: &mut Decoder<'_>, n: u32) -> Result<Vec<VirtualFile>> {
+    let mut files = Vec::with_capacity((n as usize).min(d.remaining()));
     for _ in 0..n {
-        files.push(VirtualFile::decode(&mut d).ok()?);
+        files.push(VirtualFile::decode(d)?);
     }
-    Some(Manifest {
-        version,
-        clock,
-        commit_config,
-        governor_config,
-        files,
-    })
+    Ok(files)
+}
+
+/// Read and verify a savepoint's file directory: every page checksum, the
+/// sealed blob (salted with the savepoint version), and its parse.
+fn read_directory(pages: &PageStore, dir: &VirtualFile, version: u64) -> Option<Vec<VirtualFile>> {
+    let blob = dir.read(pages).ok()?;
+    let payload = integrity::open_envelope(ArtifactKind::Manifest, version, &blob).ok()?;
+    let mut d = Decoder::new(payload);
+    let n = d.u32().ok()?;
+    decode_files(&mut d, n).ok()
 }
 
 /// Read one superblock slot end-to-end, distinguishing *absent* (never a
@@ -696,7 +759,7 @@ fn load_manifest_slot(pages: &PageStore, slot: u64) -> Slot {
         // Short file / transient I/O: the slot was never written.
         Err(_) => return Slot::Absent,
     };
-    let manifest = match format {
+    let (manifest, listing) = match format {
         // A verified envelope page holds the manifest bytes directly (the
         // slot is the page id, so the page checksum already binds them).
         PageFormat::Envelope => match parse_manifest(&payload) {
@@ -728,10 +791,30 @@ fn load_manifest_slot(pages: &PageStore, slot: u64) -> Slot {
             }
         }
     };
+    let live = match listing {
+        Listing::Inline(images) => Live {
+            version: manifest.version,
+            directory: VirtualFile::default(),
+            images,
+        },
+        Listing::Directory(directory) => {
+            match read_directory(pages, &directory, manifest.version) {
+                Some(images) => Live {
+                    version: manifest.version,
+                    directory,
+                    images,
+                },
+                None => {
+                    integrity.note_manifest_corrupt();
+                    return Slot::Corrupt;
+                }
+            }
+        }
+    };
     // A manifest is only as good as the images it points at: the savepoint
     // is recoverable iff every blob verifies and decodes.
-    let mut images = Vec::with_capacity(manifest.files.len());
-    for f in &manifest.files {
+    let mut images = Vec::with_capacity(live.images.len());
+    for f in &live.images {
         let blob = match f.read(pages) {
             Ok(b) => b,
             Err(_) => return Slot::Corrupt,
@@ -766,7 +849,11 @@ fn load_manifest_slot(pages: &PageStore, slot: u64) -> Slot {
         };
         images.push(img);
     }
-    Slot::Valid(Box::new(LoadedManifest { manifest, images }))
+    Slot::Valid(Box::new(LoadedManifest {
+        manifest,
+        live,
+        images,
+    }))
 }
 
 /// The newest fully recoverable manifest, plus whether any slot showed
@@ -1208,6 +1295,97 @@ mod tests {
         // Falls back to version 1.
         assert_eq!(rec.savepoint_version, 1);
         assert_eq!(rec.images[0].l1_rows.len(), 10);
+    }
+
+    #[test]
+    fn manifest_needing_many_pages_round_trips() {
+        // 128-byte pages carry 116 payload bytes: forty image descriptors
+        // (~14 bytes each) could never be listed inline in a superblock.
+        let dir = tempdir().unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 128).unwrap();
+        let images: Vec<TableImage> = (0..40)
+            .map(|i| image(&format!("t{i}"), i % 5 + 1))
+            .collect();
+        p.savepoint(
+            5,
+            &CommitConfig::default(),
+            &GovernorConfig::default(),
+            &images,
+        )
+        .unwrap();
+        p.savepoint(
+            7,
+            &CommitConfig::default(),
+            &GovernorConfig::default(),
+            &images,
+        )
+        .unwrap();
+        let directory = p.directory_page_ids();
+        assert!(directory.len() > 1, "directory spans {directory:?}");
+        drop(p);
+        let rec = Persistence::recover_with_page_size(dir.path(), 128).unwrap();
+        assert_eq!((rec.savepoint_version, rec.clock), (2, 7));
+        assert_eq!(rec.images.len(), 40);
+        for (i, img) in rec.images.iter().enumerate() {
+            assert_eq!(img.schema.name, format!("t{i}"));
+            assert_eq!(img.l1_rows.len(), i % 5 + 1);
+        }
+        // Reopen follows the indirection: the directory's pages are live,
+        // everything else allocated is free.
+        let p = Persistence::open_with_page_size(dir.path(), 128).unwrap();
+        assert_eq!(p.directory_page_ids(), directory);
+        let live = p.live_page_ids();
+        assert!(directory.iter().all(|d| live.contains(d)));
+        let acc = p.page_accounting();
+        assert_eq!(acc.allocated, 2 + acc.free + acc.live, "{acc:?}");
+    }
+
+    #[test]
+    fn damaged_directory_falls_back_one_generation() {
+        let dir = tempdir().unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        let cc = CommitConfig::default();
+        let gc = GovernorConfig::default();
+        p.savepoint(5, &cc, &gc, &[image("t", 10)]).unwrap();
+        p.savepoint(8, &cc, &gc, &[image("t", 20)]).unwrap();
+        let page = p.directory_page_ids()[0];
+        drop(p);
+        let path = dir.path().join("data.pages");
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[page as usize * 256 + 20] ^= 1;
+        std::fs::write(&path, &raw).unwrap();
+        let rec = Persistence::recover_with_page_size(dir.path(), 256).unwrap();
+        assert_eq!(rec.savepoint_version, 1);
+        assert_eq!(rec.images[0].l1_rows.len(), 10);
+    }
+
+    #[test]
+    fn inline_listing_from_before_the_directory_still_opens() {
+        let dir = tempdir().unwrap();
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        let mut e = Encoder::new();
+        image("t", 3).encode(&mut e);
+        let blob = integrity::seal(ArtifactKind::TableImage, 1, &e.into_bytes());
+        let file = VirtualFile::write(p.pages(), &blob).unwrap();
+        let mut m = Encoder::new();
+        m.u64(1);
+        m.u64(4);
+        encode_commit_config(&mut m, &CommitConfig::default());
+        encode_governor_config(&mut m, &GovernorConfig::default());
+        m.u32(1);
+        file.encode(&mut m);
+        p.pages().write_page(PageId(1), &m.into_bytes()).unwrap();
+        p.pages().sync().unwrap();
+        drop(p);
+        let rec = Persistence::recover_with_page_size(dir.path(), 256).unwrap();
+        assert_eq!(rec.savepoint_version, 1);
+        assert_eq!(rec.images[0].l1_rows.len(), 3);
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        assert!(p.directory_page_ids().is_empty());
+        assert_eq!(
+            p.live_page_ids(),
+            file.pages.iter().map(|p| p.0).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -30,14 +30,15 @@ use std::sync::Arc;
 
 /// Per-snapshot visibility bitmap for one main part.
 ///
-/// Computed once by the read path and cached on the part (see
+/// Computed by the read path and cached on the part (see
 /// [`MainPart::cached_visibility`]); bit `i` set means row `i` of the part
-/// is visible at snapshot timestamp [`ts`](VisBitmap::ts). An entry is only
-/// reusable while the part's [`end_version`](MainPart::end_version) still
-/// matches — any in-place deletion invalidates it — and, when any
-/// uncommitted-writer mark influenced the computation
-/// ([`txn_sensitive`](VisBitmap::txn_sensitive)), only for the exact same
-/// reader transaction.
+/// is visible at snapshot timestamp [`ts`](VisBitmap::ts) as of end-write
+/// log index [`end_version`](VisBitmap::end_version). A later statement of
+/// the same snapshot *advances* the entry instead of rebuilding it: only
+/// the positions in [`MainPart::ends_since`]`(end_version)` can have
+/// changed. When any uncommitted-writer mark influenced the bits
+/// ([`txn_sensitive`](VisBitmap::txn_sensitive)) the entry serves only the
+/// same reader transaction.
 #[derive(Debug)]
 pub struct VisBitmap {
     /// Snapshot commit timestamp the bitmap was computed for.
@@ -48,17 +49,41 @@ pub struct VisBitmap {
     /// True if an uncommitted-writer mark was encountered while resolving
     /// stamps: own-writes make the result depend on the reader's identity.
     pub txn_sensitive: bool,
-    /// The part's end-write counter captured *before* the stamps were
-    /// scanned; a mismatch on lookup means a deletion landed since.
+    /// The part's [`end_version`](MainPart::end_version) captured *before*
+    /// the stamps were read: end writes at this log index or later may not
+    /// be reflected yet.
     pub end_version: u64,
-    /// Bit set = row visible at `ts`.
-    pub visible: Bitmap,
+    /// Bit set = row visible at `ts`. Shared between the versions of an
+    /// entry that advancing left unchanged.
+    pub visible: Arc<Bitmap>,
 }
 
-/// Cached visibility bitmaps kept per part (distinct live snapshots are
-/// few; the watermark eviction in [`MainPart::store_visibility`] keeps the
-/// list short anyway).
-const VIS_CACHE_CAP: usize = 4;
+/// Cached visibility bitmaps kept per part: one per live `(ts, txn)`
+/// snapshot, least recently used evicted first (the watermark eviction in
+/// [`MainPart::store_visibility`] keeps the list short anyway).
+const VIS_CACHE_CAP: usize = 8;
+
+/// One cache slot: the entry plus the tick of its last lookup or store.
+struct CachedVis {
+    entry: Arc<VisBitmap>,
+    last_use: u64,
+}
+
+/// The per-part visibility cache (see [`VIS_CACHE_CAP`]).
+#[derive(Default)]
+struct VisCache {
+    slots: Vec<CachedVis>,
+    /// Use counter driving least-recently-used eviction.
+    tick: u64,
+}
+
+/// True if `a` makes `b` redundant: same snapshot timestamp, at least as
+/// new, and serving every reader `b` serves.
+fn supersedes(a: &VisBitmap, b: &VisBitmap) -> bool {
+    a.ts == b.ts
+        && a.end_version >= b.end_version
+        && (a.txn == b.txn || !(a.txn_sensitive || b.txn_sensitive))
+}
 
 /// Builder input for one column of one part.
 #[derive(Debug, Clone)]
@@ -97,13 +122,16 @@ pub struct MainPart {
     /// True if any begin stamp was still an uncommitted-writer mark at
     /// build time (possible for recovery images taken mid-transaction).
     begins_marked: bool,
-    /// True if any row already carried a deletion stamp at build time.
-    initial_ends: bool,
-    /// Count of `store_end` calls since build; doubles as the version tag
-    /// that invalidates cached visibility bitmaps.
+    /// Append-only end-write log: the position of every
+    /// [`store_end`](MainPart::store_end), in order, seeded at build with
+    /// the positions whose end was already set. A row is closed at most
+    /// once per writer (only an aborted close can be retried), so the log
+    /// stays within the part's row count plus its aborted closes.
+    end_log: Mutex<Vec<Pos>>,
+    /// `end_log.len()`, readable without the lock: the end version.
     end_writes: AtomicU64,
     /// Cached per-snapshot visibility bitmaps (see [`VisBitmap`]).
-    vis_cache: Mutex<Vec<Arc<VisBitmap>>>,
+    vis_cache: Mutex<VisCache>,
 }
 
 /// A `(part index, row position)` coordinate within a [`MainStore`].
@@ -185,7 +213,9 @@ impl MainPart {
                 begins_marked = true;
             }
         }
-        let initial_ends = ends.iter().any(|&e| e != COMMIT_TS_MAX);
+        let end_log: Vec<Pos> = (0..n as Pos)
+            .filter(|&pos| ends[pos as usize] != COMMIT_TS_MAX)
+            .collect();
         MainPart {
             generation,
             columns,
@@ -194,9 +224,9 @@ impl MainPart {
             ends: ends.into_iter().map(AtomicU64::new).collect(),
             max_begin,
             begins_marked,
-            initial_ends,
-            end_writes: AtomicU64::new(0),
-            vis_cache: Mutex::new(Vec::new()),
+            end_writes: AtomicU64::new(end_log.len() as u64),
+            end_log: Mutex::new(end_log),
+            vis_cache: Mutex::new(VisCache::default()),
         }
     }
 
@@ -237,20 +267,24 @@ impl MainPart {
 
     /// Overwrite the end stamp (post-merge deletion of a main-resident row).
     ///
-    /// This is the single choke point for end-stamp mutation; bumping the
-    /// write counter here is what invalidates cached visibility bitmaps
-    /// and the wholly-visible fast path.
+    /// This is the single choke point for end-stamp mutation: under the
+    /// log lock it appends `pos` to the end-write log, stores the stamp and
+    /// only then publishes the new end version, so a reader that loads the
+    /// version (Acquire) sees every stamp the log covers up to it.
     pub fn store_end(&self, pos: Pos, ts: Timestamp) {
+        let mut log = self.end_log.lock();
+        log.push(pos);
         self.ends[pos as usize].store(ts, Ordering::Release);
-        self.end_writes.fetch_add(1, Ordering::Release);
+        self.end_writes.store(log.len() as u64, Ordering::Release);
     }
 
-    /// Resolve an end-stamp *mark* to its settled value without bumping the
-    /// write counter (GC mark resolution). The rewrite races real deleters,
-    /// so it only lands if the stamp still holds `old_mark`; a settled value
-    /// is semantically identical to the mark it replaces (readers resolved
-    /// the mark to the same timestamp via the commit table), which is why
-    /// cached visibility bitmaps stay valid and no bump is needed.
+    /// Resolve an end-stamp *mark* to its settled value without logging it
+    /// (GC mark resolution). The rewrite races real deleters, so it only
+    /// lands if the stamp still holds `old_mark`; a settled value is
+    /// semantically identical to the mark it replaces for every snapshot
+    /// that can still read it (readers resolved the mark to the same
+    /// timestamp via the commit table), which is why cached visibility
+    /// bitmaps need not revisit the position.
     ///
     /// Returns true if the rewrite landed.
     pub fn resolve_end(&self, pos: Pos, old_mark: Timestamp, resolved: Timestamp) -> bool {
@@ -263,26 +297,23 @@ impl MainPart {
     /// watermark (no live or future reader can use them). Returns the
     /// number of entries dropped.
     pub fn evict_visibility_below(&self, watermark: Timestamp) -> usize {
-        let mut cache = self.vis_cache.lock();
-        let before = cache.len();
-        cache.retain(|e| e.ts >= watermark);
-        before - cache.len()
+        let slots = &mut self.vis_cache.lock().slots;
+        let before = slots.len();
+        slots.retain(|s| s.entry.ts >= watermark);
+        before - slots.len()
     }
 
     /// Number of cached visibility bitmaps (GC accounting).
     pub fn vis_cache_len(&self) -> usize {
-        self.vis_cache.lock().len()
+        self.vis_cache.lock().slots.len()
     }
 
     /// True when every row of this part is visible to *any* snapshot at
-    /// commit timestamp `ts`: all begin stamps are committed and ≤ `ts`,
-    /// and no row has ever carried a deletion stamp. Such parts need no
-    /// per-row `version_visible` resolution at all.
+    /// commit timestamp `ts`: no begin marks, an empty end-write log (no
+    /// row has ever carried a deletion stamp), and every begin ≤ `ts`. Such
+    /// parts need no per-row `version_visible` resolution at all.
     pub fn fully_visible_at(&self, ts: Timestamp) -> bool {
-        !self.begins_marked
-            && !self.initial_ends
-            && self.end_writes.load(Ordering::Acquire) == 0
-            && self.max_begin <= ts
+        !self.begins_marked && self.end_version() == 0 && self.max_begin <= ts
     }
 
     /// True if any begin stamp was still an uncommitted-writer mark at
@@ -293,46 +324,62 @@ impl MainPart {
         self.begins_marked
     }
 
-    /// Version tag of the end-stamp array. Capture it *before* scanning
-    /// stamps when building a [`VisBitmap`]; a cached bitmap is stale once
-    /// the live value differs.
+    /// The end version: the length of the end-write log. Capture it
+    /// *before* reading stamps when building a [`VisBitmap`].
     pub fn end_version(&self) -> u64 {
         self.end_writes.load(Ordering::Acquire)
     }
 
-    /// Look up a cached visibility bitmap for snapshot `ts` read by `txn`.
-    ///
-    /// Hits require the exact snapshot timestamp, an unchanged end-stamp
-    /// version, and — for entries whose computation saw uncommitted-writer
-    /// marks — the same reader transaction.
-    pub fn cached_visibility(&self, ts: Timestamp, txn: Option<TxnId>) -> Option<Arc<VisBitmap>> {
-        let end_version = self.end_version();
-        let cache = self.vis_cache.lock();
-        cache
-            .iter()
-            .find(|e| {
-                e.ts == ts && e.end_version == end_version && (!e.txn_sensitive || e.txn == txn)
-            })
-            .cloned()
+    /// The end-write log from index `version` on: every position whose end
+    /// stamp was stored since a reader captured `end_version() ==
+    /// version`. An entry advanced over them is at version `version +
+    /// len`, and the stamps it reads afterwards are at least that new.
+    pub fn ends_since(&self, version: u64) -> Vec<Pos> {
+        let log = self.end_log.lock();
+        log.get(version as usize..).unwrap_or_default().to_vec()
     }
 
-    /// Insert a freshly computed visibility bitmap, evicting entries for
-    /// snapshots the watermark has passed, stale end-stamp versions, and —
-    /// beyond [`VIS_CACHE_CAP`] — the oldest entry.
-    pub fn store_visibility(&self, entry: Arc<VisBitmap>, watermark: Timestamp) {
-        let end_version = self.end_version();
+    /// The newest cached visibility bitmap snapshot `ts` read by `txn` may
+    /// start from: one computed for exactly `(ts, txn)`, or for `ts` by any
+    /// reader when no uncommitted-writer mark influenced it. It may predate
+    /// later end writes; the caller advances it over
+    /// [`ends_since`](Self::ends_since)`(entry.end_version)`. A lookup
+    /// counts as a use for eviction.
+    pub fn cached_visibility(&self, ts: Timestamp, txn: Option<TxnId>) -> Option<Arc<VisBitmap>> {
         let mut cache = self.vis_cache.lock();
-        cache.retain(|e| e.ts >= watermark && e.end_version == end_version);
-        if cache
-            .iter()
-            .any(|e| e.ts == entry.ts && e.end_version == entry.end_version && e.txn == entry.txn)
-        {
+        cache.tick += 1;
+        let tick = cache.tick;
+        let slot = cache
+            .slots
+            .iter_mut()
+            .filter(|s| s.entry.ts == ts && (s.entry.txn == txn || !s.entry.txn_sensitive))
+            .max_by_key(|s| (s.entry.end_version, s.entry.txn == txn))?;
+        slot.last_use = tick;
+        Some(Arc::clone(&slot.entry))
+    }
+
+    /// Insert a computed or advanced visibility bitmap: it replaces the
+    /// entries it supersedes (same `ts`, not newer, serving no reader it
+    /// doesn't), so the cache keeps one entry per `(ts, txn)`. Entries for
+    /// snapshots the watermark has passed go too, and beyond
+    /// [`VIS_CACHE_CAP`] the least recently used one.
+    pub fn store_visibility(&self, entry: Arc<VisBitmap>, watermark: Timestamp) {
+        let mut cache = self.vis_cache.lock();
+        if cache.slots.iter().any(|s| supersedes(&s.entry, &entry)) {
             return;
         }
-        if cache.len() >= VIS_CACHE_CAP {
-            cache.remove(0);
+        cache
+            .slots
+            .retain(|s| s.entry.ts >= watermark && !supersedes(&entry, &s.entry));
+        if cache.slots.len() >= VIS_CACHE_CAP {
+            let lru = (0..cache.slots.len())
+                .min_by_key(|&i| cache.slots[i].last_use)
+                .expect("a full cache has slots");
+            cache.slots.swap_remove(lru);
         }
-        cache.push(entry);
+        cache.tick += 1;
+        let last_use = cache.tick;
+        cache.slots.push(CachedVis { entry, last_use });
     }
 
     /// This part's NULL sentinel for `col`.
@@ -876,6 +923,23 @@ mod tests {
         assert_eq!(part.end_version(), v0 + 1);
     }
 
+    /// A cache entry for snapshot `ts` of reader `txn` at the part's current
+    /// end version.
+    fn entry(
+        part: &MainPart,
+        ts: Timestamp,
+        txn: Option<TxnId>,
+        sensitive: bool,
+    ) -> Arc<VisBitmap> {
+        Arc::new(VisBitmap {
+            ts,
+            txn,
+            txn_sensitive: sensitive,
+            end_version: part.end_version(),
+            visible: Arc::new(Bitmap::zeros(part.len())),
+        })
+    }
+
     #[test]
     fn visibility_cache_round_trip_and_invalidation() {
         let m = single_part(&[(1, Some("a")), (2, Some("b")), (3, Some("c"))]);
@@ -890,7 +954,7 @@ mod tests {
                 txn: None,
                 txn_sensitive: false,
                 end_version: part.end_version(),
-                visible: bm,
+                visible: Arc::new(bm),
             }),
             0,
         );
@@ -898,62 +962,66 @@ mod tests {
         let hit = part.cached_visibility(7, Some(TxnId(9))).unwrap();
         assert!(hit.visible.get(0) && !hit.visible.get(1) && hit.visible.get(2));
         assert!(part.cached_visibility(8, None).is_none());
-        // A deletion bumps the end version and invalidates the entry.
+        // A deletion no longer discards the entry: it is still served, and
+        // the log names exactly the position its holder must re-evaluate.
         part.store_end(0, 99);
-        assert!(part.cached_visibility(7, None).is_none());
+        let stale = part.cached_visibility(7, None).unwrap();
+        assert_eq!(stale.end_version + 1, part.end_version());
+        assert_eq!(part.ends_since(stale.end_version), vec![0]);
+        assert!(part.ends_since(part.end_version()).is_empty());
+        // Storing the advanced version replaces it: one entry per snapshot.
+        part.store_visibility(entry(part, 7, Some(TxnId(9)), false), 0);
+        assert_eq!(part.vis_cache_len(), 1);
+        assert_eq!(
+            part.cached_visibility(7, None).unwrap().end_version,
+            part.end_version()
+        );
+        // An older version never overwrites a newer one.
+        part.store_visibility(stale, 0);
+        assert_eq!(
+            part.cached_visibility(7, None).unwrap().end_version,
+            part.end_version()
+        );
     }
 
     #[test]
     fn txn_sensitive_entries_require_matching_reader() {
         let m = single_part(&[(1, Some("a"))]);
         let part = &m.parts()[0];
-        part.store_visibility(
-            Arc::new(VisBitmap {
-                ts: 5,
-                txn: Some(TxnId(3)),
-                txn_sensitive: true,
-                end_version: part.end_version(),
-                visible: Bitmap::zeros(1),
-            }),
-            0,
-        );
+        part.store_visibility(entry(part, 5, Some(TxnId(3)), true), 0);
         assert!(part.cached_visibility(5, Some(TxnId(3))).is_some());
         assert!(part.cached_visibility(5, Some(TxnId(4))).is_none());
         assert!(part.cached_visibility(5, None).is_none());
+        // A sensitive entry of another reader at the same ts coexists.
+        part.store_visibility(entry(part, 5, Some(TxnId(4)), true), 0);
+        assert_eq!(part.vis_cache_len(), 2);
+        assert_eq!(
+            part.cached_visibility(5, Some(TxnId(4))).unwrap().txn,
+            Some(TxnId(4))
+        );
     }
 
     #[test]
     fn visibility_cache_evicts_below_watermark_and_caps() {
         let m = single_part(&[(1, Some("a"))]);
         let part = &m.parts()[0];
-        for ts in 1..=6u64 {
-            part.store_visibility(
-                Arc::new(VisBitmap {
-                    ts,
-                    txn: None,
-                    txn_sensitive: false,
-                    end_version: part.end_version(),
-                    visible: Bitmap::zeros(1),
-                }),
-                0,
-            );
+        for ts in 1..=VIS_CACHE_CAP as u64 {
+            part.store_visibility(entry(part, ts, None, false), 0);
         }
-        // Capacity is bounded; the newest entries survive.
-        assert!(part.cached_visibility(6, None).is_some());
-        assert!(part.cached_visibility(1, None).is_none());
+        // Capacity is bounded and eviction goes by last use, not by
+        // insertion: the oldest entry, looked up again, outlives the next.
+        assert!(part.cached_visibility(1, None).is_some());
+        part.store_visibility(entry(part, 100, None, false), 0);
+        assert_eq!(part.vis_cache_len(), VIS_CACHE_CAP);
+        assert!(part.cached_visibility(1, None).is_some());
+        assert!(part.cached_visibility(2, None).is_none());
+        assert!(part.cached_visibility(100, None).is_some());
         // A store with a high watermark sweeps older snapshots out.
-        part.store_visibility(
-            Arc::new(VisBitmap {
-                ts: 10,
-                txn: None,
-                txn_sensitive: false,
-                end_version: part.end_version(),
-                visible: Bitmap::zeros(1),
-            }),
-            10,
-        );
+        part.store_visibility(entry(part, 10, None, false), 10);
         assert!(part.cached_visibility(6, None).is_none());
+        assert!(part.cached_visibility(1, None).is_none());
         assert!(part.cached_visibility(10, None).is_some());
+        assert_eq!(part.vis_cache_len(), 2);
     }
 
     #[test]
@@ -990,6 +1058,9 @@ mod tests {
             64,
         );
         assert!(!part.fully_visible_at(100));
+        // The build seeds the end-write log with the already-set ends.
+        assert_eq!(part.end_version(), 1);
+        assert_eq!(part.ends_since(0), vec![0]);
     }
 
     #[test]

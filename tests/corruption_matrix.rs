@@ -68,11 +68,13 @@ struct Fixture {
     v2: Rows,
     v2_tail: Rows,
     live_pages: Vec<u64>,
+    /// The newest savepoint's file-directory pages (part of `live_pages`).
+    directory_pages: Vec<u64>,
 }
 
 fn build_fixture() -> Fixture {
     let dir = tempfile::tempdir().unwrap();
-    let (v1, v2, v2_tail, live_pages) = {
+    let (v1, v2, v2_tail, live_pages, directory_pages) = {
         let db = Database::open(dir.path()).unwrap();
         let t = db.create_table(schema(), TableConfig::small()).unwrap();
 
@@ -116,9 +118,15 @@ fn build_fixture() -> Fixture {
         db.commit(&mut txn).unwrap();
         let v2_tail = rows_of(&db);
 
-        let live_pages = db.persistence().unwrap().live_page_ids();
+        let persistence = db.persistence().unwrap();
+        let live_pages = persistence.live_page_ids();
         assert!(!live_pages.is_empty(), "fixture must have live image pages");
-        (v1, v2, v2_tail, live_pages)
+        let directory_pages = persistence.directory_page_ids();
+        assert!(
+            !directory_pages.is_empty(),
+            "fixture must list images in a directory"
+        );
+        (v1, v2, v2_tail, live_pages, directory_pages)
     };
     assert_ne!(v1, v2);
     assert_ne!(v2, v2_tail);
@@ -129,6 +137,7 @@ fn build_fixture() -> Fixture {
         v2,
         v2_tail,
         live_pages,
+        directory_pages,
     }
 }
 
@@ -195,14 +204,18 @@ fn bit_flip_matrix_never_serves_corrupt_rows() {
     let bits: Vec<u8> = if full { (0..8).collect() } else { vec![0, 7] };
 
     // Page-artifact targets: both superblock slots (manifests) and the
-    // live table-image pages. Sampled mode takes the slots plus the first
-    // and last live page; full mode takes every live page.
+    // live pages — table images and the file directory listing them.
+    // Sampled mode takes the slots, the first and last live page and the
+    // directory's first page; full mode takes every live page.
     let mut page_targets: Vec<u64> = vec![0, 1];
     if full {
         page_targets.extend(fx.live_pages.iter().copied());
     } else {
         page_targets.push(*fx.live_pages.first().unwrap());
         page_targets.push(*fx.live_pages.last().unwrap());
+        page_targets.push(fx.directory_pages[0]);
+        page_targets.sort_unstable();
+        page_targets.dedup();
     }
 
     let mut cases: Vec<(&str, usize, u8)> = Vec::new();

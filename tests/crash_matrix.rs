@@ -18,8 +18,10 @@
 //!   survive a second reopen.
 //!
 //! The matrix samples up to [`MAX_POINTS`] crash points with an even
-//! stride (always including the first and last operation); set
-//! `CRASH_MATRIX_FULL=1` to exhaust every single point.
+//! stride (always including the first and last operation) plus every
+//! operation of each savepoint (image pages, the file directory, the
+//! superblock flip, the log rotation); set `CRASH_MATRIX_FULL=1` to
+//! exhaust every single point.
 
 use hana_common::{ColumnDef, DataType, Result, Schema, TableConfig, Value};
 use hana_core::Database;
@@ -53,6 +55,8 @@ struct Progress {
     /// Row-id ranges `[lo, hi)` whose commit returned `Ok`.
     committed: Vec<(i64, i64)>,
     savepoints: u64,
+    /// I/O-operation ranges the workload's savepoints spanned.
+    savepoint_ops: Vec<std::ops::Range<u64>>,
 }
 
 /// Insert `[lo, hi)` in one transaction and commit it. Only a returned
@@ -64,6 +68,17 @@ fn commit_batch(db: &Arc<Database>, lo: i64, hi: i64) -> Result<()> {
         t.insert(&txn, row(id))?;
     }
     db.commit(&mut txn)?;
+    Ok(())
+}
+
+/// `db.savepoint()`, recording the I/O operations it spanned.
+fn savepoint(db: &Arc<Database>, progress: &mut Progress) -> Result<()> {
+    let injector = db.persistence().expect("durable database").injector();
+    let start = injector.ops();
+    let result = db.savepoint();
+    progress.savepoint_ops.push(start..injector.ops());
+    result?;
+    progress.savepoints += 1;
     Ok(())
 }
 
@@ -84,8 +99,7 @@ fn run_workload(db: &Arc<Database>, progress: &mut Progress) -> Result<()> {
     progress.committed.push((8, 16));
     t.merge_delta_as(MergeDecision::Classic)?;
 
-    db.savepoint()?;
-    progress.savepoints += 1;
+    savepoint(db, progress)?;
 
     commit_batch(db, 16, 24)?;
     progress.committed.push((16, 24));
@@ -99,8 +113,7 @@ fn run_workload(db: &Arc<Database>, progress: &mut Progress) -> Result<()> {
     // Second savepoint: flips to the other superblock slot, so recovery
     // exercises manifest alternation (the previous manifest must stay
     // valid until the new one is durable).
-    db.savepoint()?;
-    progress.savepoints += 1;
+    savepoint(db, progress)?;
 
     commit_batch(db, 24, 32)?;
     progress.committed.push((24, 32));
@@ -529,12 +542,12 @@ fn crash_everywhere_recovery_holds_at_every_io_operation() {
     // Dry run: count the I/O operations of one full workload.
     let dry = tempfile::tempdir().unwrap();
     let injector = FaultInjector::new();
+    let mut dry_progress = Progress::default();
     {
         let db = Database::open_with_injector(dry.path(), Arc::clone(&injector)).unwrap();
-        let mut progress = Progress::default();
-        run_workload(&db, &mut progress).expect("dry run must not fail");
-        assert_eq!(progress.committed.len(), 4);
-        assert_eq!(progress.savepoints, 2);
+        run_workload(&db, &mut dry_progress).expect("dry run must not fail");
+        assert_eq!(dry_progress.committed.len(), 4);
+        assert_eq!(dry_progress.savepoints, 2);
     }
     let total_ops = injector.ops();
     assert!(
@@ -552,6 +565,11 @@ fn crash_everywhere_recovery_holds_at_every_io_operation() {
     if points.last() != Some(&(total_ops - 1)) {
         points.push(total_ops - 1);
     }
+    for ops in &dry_progress.savepoint_ops {
+        points.extend(ops.clone());
+    }
+    points.sort_unstable();
+    points.dedup();
 
     for &point in &points {
         let dir = tempfile::tempdir().unwrap();
