@@ -1,42 +1,32 @@
 //! Fig 7c — writer-observed stall during delta-to-main publication.
 //!
-//! Claims regenerated: (a) the legacy blocking protocol holds the writers'
-//! lock for work proportional to the new main (index build + pending-end
-//! replay), so its publication stall grows with table size; (b) the
-//! non-blocking protocol reconciles raced end stamps off-lock and publishes
-//! with a constant-time swap, so its stall is flat; (c) a background GC
-//! sweep over a churned table is cheap enough to run continuously.
+//! Claims regenerated: (a) publication reconciles raced end stamps off-lock
+//! and swaps in constant time, so the writers' stall stays flat as the
+//! table grows; (b) a background GC sweep over a churned table is cheap
+//! enough to run continuously.
 //!
 //! The stall is measured with `iter_custom` from the table's own
 //! publication-stall instrument (time the exclusive section was actually
-//! held), not wall-clock merge latency — the build phase dominates the
-//! latter identically in both protocols.
+//! held), not wall-clock merge latency, which the build phase dominates.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hana_bench::{fill_l2, staged_sales, StagedTable};
-use hana_common::{ColumnId, MergeConfig, Value};
+use hana_common::{ColumnId, Value};
 use hana_merge::MergeDecision;
 use hana_txn::IsolationLevel;
 
-/// Build a staged table with `main_rows` in main and a filled L2, with the
-/// requested publication protocol.
-fn staged(main_rows: i64, legacy: bool) -> StagedTable {
-    let st = hana_bench::staged_sales_merge(
-        main_rows,
-        hana_bench::Stage::Main,
-        7,
-        MergeConfig::default().with_legacy_blocking_publication(legacy),
-    );
+/// Build a staged table with `main_rows` in main and a filled L2.
+fn staged(main_rows: i64) -> StagedTable {
+    let st = staged_sales(main_rows, hana_bench::Stage::Main, 7);
     fill_l2(&st, main_rows, 2_000, 13);
     st
 }
 
 /// One merge with a short-lived racer that end-stamps rows while the
-/// off-lock build runs, so publication has pending ends to reconcile —
-/// the case where the two protocols differ.
+/// off-lock build runs, so publication has pending ends to reconcile.
 fn merge_with_raced_ends(st: &StagedTable) -> Duration {
     st.table.reset_publication_stall();
     let done = AtomicBool::new(false);
@@ -69,18 +59,16 @@ fn bench_publication_stall(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig07c_publication_stall");
     g.sample_size(10);
     for main_rows in [10_000i64, 40_000] {
-        for (name, legacy) in [("blocking", true), ("non-blocking", false)] {
-            g.bench_function(BenchmarkId::new(name, main_rows), |b| {
-                b.iter_custom(|iters| {
-                    let mut total = Duration::ZERO;
-                    for _ in 0..iters {
-                        let st = staged(main_rows, legacy);
-                        total += merge_with_raced_ends(&st);
-                    }
-                    total
-                })
-            });
-        }
+        g.bench_function(BenchmarkId::new("non-blocking", main_rows), |b| {
+            b.iter_custom(|iters| {
+                let mut total = Duration::ZERO;
+                for _ in 0..iters {
+                    let st = staged(main_rows);
+                    total += merge_with_raced_ends(&st);
+                }
+                total
+            })
+        });
     }
     g.finish();
 }

@@ -602,10 +602,10 @@ fn fig07_parallel() -> hana_common::Result<()> {
     Ok(())
 }
 
-/// One arm of the F7c experiment: concurrent writers updating a fixed
-/// working set while the merge daemon cycles, with the given publication
-/// protocol. Returns (commits, p99 µs, max µs, merges, gc stats).
-struct F7cArm {
+/// The F7c experiment: concurrent writers updating a fixed working set
+/// while the merge daemon (and GC) cycles. Returns (commits, p99 µs, max
+/// µs, merges, gc stats).
+struct F7cRun {
     commits: u64,
     p99_us: u64,
     max_stall_ns: u64,
@@ -614,25 +614,23 @@ struct F7cArm {
     gc: Option<hana_core::GcStats>,
 }
 
-fn f7c_arm(legacy: bool, working: i64, window: Duration) -> hana_common::Result<F7cArm> {
+fn f7c_run(working: i64, window: Duration) -> hana_common::Result<F7cRun> {
     // Two phases. (1) Churn: concurrent writers + the merge daemon build a
     // realistic main and pending-write traffic; writer wall-clock latency is
     // recorded here. (2) Quiesced measurement: writers and daemon stopped,
     // then a few merges run single-threaded and only their exclusive-section
     // holds are recorded. On a 1-CPU container any thread can be descheduled
     // for a full scheduler quantum (~10ms) *while holding the lock*, which
-    // drowns the protocol difference if the stall is measured under
-    // contention — with no other runnable threads the hold is pure CPU work:
-    // O(main index build) for the legacy protocol, O(residue) + pointer swap
-    // for the non-blocking one.
+    // drowns the publication work if the stall is measured under contention
+    // — with no other runnable threads the hold is pure CPU work: O(residue)
+    // + pointer swap.
     use std::sync::atomic::{AtomicBool, Ordering};
     let db = Database::in_memory();
     let cfg = TableConfig {
         l1_max_rows: 256,
         l2_max_rows: 4_096,
         ..TableConfig::default()
-    }
-    .with_merge(MergeConfig::default().with_legacy_blocking_publication(legacy));
+    };
     let schema = Schema::new(
         "churn",
         vec![
@@ -648,11 +646,7 @@ fn f7c_arm(legacy: bool, working: i64, window: Duration) -> hana_common::Result<
     table.bulk_load(&txn, rows)?;
     db.commit(&mut txn)?;
     table.merge_delta_as(MergeDecision::Classic)?;
-    if !legacy {
-        // GC rides only on the "after" system — it is part of what the
-        // non-blocking pipeline buys (sustained churn without growth).
-        db.enable_gc();
-    }
+    db.enable_gc();
     db.start_merge_daemon(Duration::from_millis(1));
 
     let stop = AtomicBool::new(false);
@@ -710,11 +704,8 @@ fn f7c_arm(legacy: bool, working: i64, window: Duration) -> hana_common::Result<
     // Phase 2: quiesced measurement (see the function comment). Each round
     // refills the delta, then merges with a single short-lived racer thread
     // that end-stamps a few rows while the (off-lock, ms-scale) build runs
-    // and exits well before publication: the raced stamps are what force
-    // the legacy protocol to replay pending ends — an index build over the
-    // whole new main — inside the exclusive section, while the
-    // non-blocking protocol reconciles them off-lock and publishes in
-    // constant time.
+    // and exits well before publication: the raced stamps are reconciled
+    // off-lock, and publication swaps in constant time.
     table.reset_publication_stall();
     for round in 0..4i64 {
         let mut txn = db.begin(IsolationLevel::Transaction);
@@ -756,7 +747,7 @@ fn f7c_arm(legacy: bool, working: i64, window: Duration) -> hana_common::Result<
             merged
         })?;
     }
-    Ok(F7cArm {
+    Ok(F7cRun {
         commits,
         p99_us: p99,
         max_stall_ns: table.max_publication_stall_ns(),
@@ -766,10 +757,9 @@ fn f7c_arm(legacy: bool, working: i64, window: Duration) -> hana_common::Result<
     })
 }
 
-/// Fig 7c: writer-observed stall during merge publication — the legacy
-/// blocking protocol (per-column work inside the exclusive section) vs the
-/// non-blocking off-side build + constant-time swap — plus the background
-/// MVCC GC's reclaim counters under the same churn.
+/// Fig 7c: writer-observed stall during merge publication — the off-side
+/// build + constant-time swap — plus the background MVCC GC's reclaim
+/// counters under the same churn.
 fn fig07c() -> hana_common::Result<()> {
     let working = scale(24_000);
     let window = scale_duration(Duration::from_millis(1_500));
@@ -777,9 +767,7 @@ fn fig07c() -> hana_common::Result<()> {
         "\n## F7c — writer stall during merges ({working}-row working set, 4 writers, {:.1}s window)\n",
         window.as_secs_f64()
     );
-    let l = f7c_arm(true, working, window)?;
-    let n = f7c_arm(false, working, window)?;
-    let reduction = l.max_stall_ns as f64 / n.max_stall_ns.max(1) as f64;
+    let n = f7c_run(working, window)?;
     report::emit(
         "F7c merge stall",
         &[
@@ -789,28 +777,15 @@ fn fig07c() -> hana_common::Result<()> {
             "p99 write (µs)",
             "max publication lock (µs)",
             "mean publication lock (µs)",
-            "stall reduction",
         ],
-        &[
-            vec![
-                "blocking (legacy)".into(),
-                l.commits.to_string(),
-                l.merges.to_string(),
-                l.p99_us.to_string(),
-                format!("{:.1}", l.max_stall_ns as f64 / 1_000.0),
-                format!("{:.1}", l.mean_stall_ns as f64 / 1_000.0),
-                "1.00x".into(),
-            ],
-            vec![
-                "non-blocking".into(),
-                n.commits.to_string(),
-                n.merges.to_string(),
-                n.p99_us.to_string(),
-                format!("{:.1}", n.max_stall_ns as f64 / 1_000.0),
-                format!("{:.1}", n.mean_stall_ns as f64 / 1_000.0),
-                format!("{reduction:.2}x"),
-            ],
-        ],
+        &[vec![
+            "non-blocking".into(),
+            n.commits.to_string(),
+            n.merges.to_string(),
+            n.p99_us.to_string(),
+            format!("{:.1}", n.max_stall_ns as f64 / 1_000.0),
+            format!("{:.1}", n.mean_stall_ns as f64 / 1_000.0),
+        ]],
     );
     let gc = n.gc.unwrap_or_default();
     report::emit(

@@ -40,25 +40,13 @@ pub enum Stage {
 
 /// Build a sales table with all `rows` rows in `stage`.
 pub fn staged_sales(rows: i64, stage: Stage, seed: u64) -> StagedTable {
-    staged_sales_merge(rows, stage, seed, hana_common::MergeConfig::default())
-}
-
-/// [`staged_sales`] with an explicit merge configuration (used by the F7c
-/// bench to compare publication protocols on identical tables).
-pub fn staged_sales_merge(
-    rows: i64,
-    stage: Stage,
-    seed: u64,
-    merge: hana_common::MergeConfig,
-) -> StagedTable {
     let db = Database::in_memory();
     // Thresholds high enough that nothing merges behind our back.
     let cfg = TableConfig {
         l1_max_rows: usize::MAX / 2,
         l2_max_rows: usize::MAX / 2,
         ..TableConfig::default()
-    }
-    .with_merge(merge);
+    };
     let table = db.create_table(SalesSchema::fact(), cfg).unwrap();
     let mut gen = DataGen::new(seed);
     let mut txn = db.begin(IsolationLevel::Transaction);

@@ -28,7 +28,6 @@
 
 use crate::exec::{
     column_predicate, finish_groups, merge_groups, split_pushdown, Executor, Groups, ResultSet,
-    SourceRead,
 };
 use crate::expr::{AggFunc, AggState, Expr, Predicate};
 use crate::graph::{CalcGraph, CalcNode, NodeId, ScanSource};
@@ -606,7 +605,7 @@ impl Executor {
         if let Some(c) = set.0.iter().find(|c| c.col >= arity) {
             return Err(out_of_range(c.col));
         }
-        let read = SourceRead::at(scan.table, self.snapshot);
+        let read = scan.table.read_at(self.snapshot);
         // Scan admission: one token for the duration of the storage scan.
         let (_permit, wait_ns) = read.governor().admit_scan()?;
         self.stats.governor_wait_ns += wait_ns;
@@ -725,7 +724,10 @@ impl Executor {
             return Ok(Vec::new());
         };
         let bound = |side: &JoinSide<'_>| match side {
-            JoinSide::Scan(s) => SourceRead::at(s.table, self.snapshot).row_bound(),
+            JoinSide::Scan(s) => {
+                let (l1, l2, main) = s.table.read_at(self.snapshot).stage_row_counts();
+                l1 + l2 + main
+            }
             JoinSide::Rows(_) => 0,
         };
         // Rows can only be built on; of two scans the smaller one is.

@@ -23,9 +23,7 @@
 use crate::expr::{AggFunc, AggState, Predicate};
 use crate::graph::{CalcGraph, CalcNode, NodeId, PipeOp, ScanSource};
 use hana_common::{HanaError, Result, Value};
-use hana_core::{
-    BatchSpec, ColumnBatch, ColumnPredicate, PartitionedRead, ScanStats, TableRead, VisibleRow,
-};
+use hana_core::{ColumnPredicate, ScanStats, TableRead};
 use hana_txn::Snapshot;
 use rustc_hash::FxHashMap;
 use std::hash::{Hash, Hasher};
@@ -85,76 +83,6 @@ pub struct ExecStats {
     /// Largest worker fan-out a storage scan actually used after the
     /// governor's clamp (0 when no chunked scan ran).
     pub effective_parallelism: usize,
-}
-
-/// A pinned read view over a [`ScanSource`]: one table's [`TableRead`] or
-/// the fan-out [`PartitionedRead`] over every shard of a group. The two
-/// expose the same surface, so scans and batch folds run the same code path
-/// regardless of partitioning.
-pub(crate) enum SourceRead {
-    Single(TableRead),
-    Partitioned(PartitionedRead),
-}
-
-impl SourceRead {
-    pub(crate) fn at(source: &ScanSource, snap: Snapshot) -> SourceRead {
-        match source {
-            ScanSource::Single(t) => SourceRead::Single(t.read_at(snap)),
-            ScanSource::Partitioned(p) => SourceRead::Partitioned(p.read_at(snap)),
-        }
-    }
-
-    fn collect_rows_projected(&self, proj: Option<&[usize]>) -> Vec<VisibleRow> {
-        match self {
-            SourceRead::Single(r) => r.collect_rows_projected(proj),
-            SourceRead::Partitioned(r) => r.collect_rows_projected(proj),
-        }
-    }
-
-    fn scan_filtered(
-        &self,
-        preds: &[ColumnPredicate],
-        proj: Option<&[usize]>,
-    ) -> Result<(Vec<VisibleRow>, ScanStats)> {
-        match self {
-            SourceRead::Single(r) => r.scan_filtered(preds, proj),
-            SourceRead::Partitioned(r) => r.scan_filtered(preds, proj),
-        }
-    }
-
-    pub(crate) fn scan_batches<T: Send>(
-        &self,
-        spec: &BatchSpec<'_>,
-        fold: impl Fn(ColumnBatch<'_>) -> T + Sync,
-    ) -> Result<(Vec<T>, ScanStats)> {
-        match self {
-            SourceRead::Single(r) => r.scan_batches(spec, fold),
-            SourceRead::Partitioned(r) => r.scan_batches(spec, fold),
-        }
-    }
-
-    /// Physical rows in view — an upper bound on what a scan can yield.
-    pub(crate) fn row_bound(&self) -> usize {
-        let (l1, l2, main) = match self {
-            SourceRead::Single(r) => r.stage_row_counts(),
-            SourceRead::Partitioned(r) => r.stage_row_counts(),
-        };
-        l1 + l2 + main
-    }
-
-    fn vis_cache_stats(&self) -> (u64, u64) {
-        match self {
-            SourceRead::Single(r) => r.vis_cache_stats(),
-            SourceRead::Partitioned(r) => r.vis_cache_stats(),
-        }
-    }
-
-    pub(crate) fn governor(&self) -> &std::sync::Arc<hana_core::ResourceGovernor> {
-        match self {
-            SourceRead::Single(r) => r.governor(),
-            SourceRead::Partitioned(r) => r.governor(),
-        }
-    }
 }
 
 /// Executes calc graphs under one snapshot.
@@ -357,7 +285,7 @@ impl Executor {
         fused: &Predicate,
         projection: Option<&[usize]>,
     ) -> Result<ResultSet> {
-        let read = SourceRead::at(table, self.snapshot);
+        let read = table.read_at(self.snapshot);
         // Scan admission: analytical statements take a token for the
         // duration of the storage scan (point/commit paths never do). The
         // token is held until this node finishes materializing.
@@ -390,7 +318,7 @@ impl Executor {
 
     /// Fold one read view's visibility-bitmap cache counters into the
     /// statement statistics.
-    pub(crate) fn absorb_cache_stats(&mut self, read: &SourceRead) {
+    pub(crate) fn absorb_cache_stats(&mut self, read: &TableRead) {
         let (hits, misses) = read.vis_cache_stats();
         self.stats.bitmap_cache_hits += hits;
         self.stats.bitmap_cache_misses += misses;

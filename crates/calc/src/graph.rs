@@ -8,15 +8,15 @@
 
 use crate::expr::{AggFunc, Expr, Predicate};
 use hana_common::{Schema, Value};
-use hana_core::{PartitionedTable, UnifiedTable};
+use hana_core::{PartitionedTable, TableRead, UnifiedTable};
+use hana_txn::Snapshot;
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
 /// The storage behind a [`CalcNode::TableSource`]: a plain unified table or
-/// a hash-partitioned group. Plans treat both identically — the executor
-/// fans a partitioned scan out over the shards through the same
-/// compressed-domain path and merges the per-partition statistics, so a
-/// table can be re-partitioned without touching any query.
+/// a hash-partitioned group. Plans treat both identically — both read
+/// through one [`TableRead`] (one shard, or one per partition), so a table
+/// can be re-partitioned without touching any query.
 #[derive(Clone)]
 pub enum ScanSource {
     /// One unified table.
@@ -34,9 +34,15 @@ impl ScanSource {
             ScanSource::Partitioned(p) => p.schema(),
         }
     }
-}
 
-impl ScanSource {
+    /// Pin a read view of the source under `snap`.
+    pub fn read_at(&self, snap: Snapshot) -> TableRead {
+        match self {
+            ScanSource::Single(t) => t.read_at(snap),
+            ScanSource::Partitioned(p) => p.read_at(snap),
+        }
+    }
+
     /// Tables behind the source: the partitions of a group, else 1. Column
     /// batches name the one they come from as `source`.
     pub fn tables(&self) -> usize {

@@ -33,12 +33,6 @@ pub struct MergeConfig {
     /// Worker threads in the merge daemon's pool, so several tables can
     /// merge concurrently.
     pub daemon_workers: usize,
-    /// Revert to the pre-non-blocking publication protocol: merges perform
-    /// their reconciliation work *inside* the exclusive `state` section
-    /// (L1→L2 additionally streams under `state.write()`). Exists solely as
-    /// the "before" arm of the F7c writer-stall measurement; leave `false`
-    /// in production.
-    pub legacy_blocking_publication: bool,
 }
 
 impl MergeConfig {
@@ -47,7 +41,6 @@ impl MergeConfig {
         MergeConfig {
             column_parallelism: 1,
             daemon_workers: 1,
-            legacy_blocking_publication: false,
         }
     }
 
@@ -60,13 +53,6 @@ impl MergeConfig {
     /// Builder-style override of the daemon pool size.
     pub fn with_daemon_workers(mut self, workers: usize) -> Self {
         self.daemon_workers = workers;
-        self
-    }
-
-    /// Builder-style switch back to the blocking publication protocol
-    /// (baseline arm of the F7c stall experiment).
-    pub fn with_legacy_blocking_publication(mut self, on: bool) -> Self {
-        self.legacy_blocking_publication = on;
         self
     }
 }

@@ -17,16 +17,16 @@
 //!    `f64` vector when the consumer asked for numeric access,
 //!
 //! and hands the [`ColumnBatch`] to the caller's fold. Values are decoded
-//! only when a consumer asks the dictionary for one. Main units fan out
-//! over the scan pool; the per-unit fold results come back **in unit
-//! order**, so whatever the caller combines from them is independent of the
-//! worker count. [`TableRead::scan_filtered`], `collect_rows*`,
-//! `aggregate_numeric`, `group_aggregate` and their
-//! [`PartitionedRead`](crate::PartitionedRead) twins are thin folds over
-//! this scan, and so is the calc layer's aggregate/join executor.
+//! only when a consumer asks the dictionary for one. Units fan out over the
+//! scan pool by the read's one rule ([`TableRead::fan_out`]: a lone shard's
+//! main units, else whole shards); the per-unit fold results come back **in
+//! shard order, then unit order**, so whatever the caller combines from them
+//! is independent of the worker count. [`TableRead::scan_filtered`],
+//! `collect_rows*`, `aggregate_numeric` and `group_aggregate` are thin
+//! folds over this scan, and so is the calc layer's aggregate/join executor.
 
 use crate::filter::{zone_admits, ColumnPredicate, ScanStats};
-use crate::read::{TableRead, VisibleRow};
+use crate::read::{concat, Shard, TableRead, VisibleRow};
 use crate::scan::{plan_chunks, PartVisibility, ScanChunk, SCAN_CHUNK_ROWS};
 use hana_column::kernel::refine_bitmap;
 use hana_column::{CodeMatcher, CodeVector, Pos};
@@ -34,6 +34,7 @@ use hana_common::{Result, RowId, Value};
 use hana_merge::map_indexed;
 use hana_rowstore::Slot;
 use hana_store::{L2Delta, MainStore, L2_NULL_CODE};
+use hana_txn::Snapshot;
 use rustc_hash::FxHashMap;
 use std::cmp::Ordering;
 use std::sync::atomic::Ordering::Acquire;
@@ -240,9 +241,9 @@ fn compact<T: Copy>(v: &mut Vec<T>, keep: &Bitmap) {
 
 /// The selected rows of one scan unit, column-wise.
 pub struct ColumnBatch<'a> {
-    /// Index of the table this unit belongs to within the read view (the
-    /// partition index under a [`PartitionedRead`](crate::PartitionedRead),
-    /// else 0). Main units of one source share a code domain.
+    /// Index of the shard this unit belongs to within the read view (the
+    /// partition index of a partitioned table, else 0). Main units of one
+    /// source share a code domain.
     pub source: usize,
     /// The requested columns, in spec order.
     pub cols: Vec<BatchColumn<'a>>,
@@ -376,12 +377,12 @@ fn numeric_or_nan(v: &Value) -> f64 {
 impl TableRead {
     /// Scan every visible row satisfying all of `spec.preds` as column
     /// batches (see the [module docs](self)), calling `fold` once per
-    /// non-empty unit. Returns the fold results in unit order — main chunks
-    /// in chain order, frozen L2, open L2, L1 — plus the pruning/filtering
-    /// counters.
+    /// non-empty unit. Returns the fold results in shard order, each shard
+    /// in unit order — main chunks in chain order, frozen L2, open L2, L1 —
+    /// plus the pruning/filtering counters summed over shards.
     ///
-    /// `fold` runs on the scan pool for main units and, for the L2 units,
-    /// under that delta's read lock: it must not call back into the table.
+    /// `fold` runs on the scan pool and, for the L2 units, under that
+    /// delta's read lock: it must not call back into the table.
     pub fn scan_batches<T: Send>(
         &self,
         spec: &BatchSpec<'_>,
@@ -393,14 +394,35 @@ impl TableRead {
         for p in spec.preds {
             self.schema_col(p.column())?;
         }
+        let snap = self.snapshot();
         let mut stats = ScanStats::default();
-        let mut out = self.scan_main(spec, &fold, &mut stats);
-        if let Some((frozen, fence)) = &self.l2_frozen {
-            out.extend(self.scan_l2(frozen, *fence, spec, &fold, &mut stats));
+        let mut units = Vec::new();
+        for (shard_units, st) in self.fan_out(|s, fan_units| s.scan(snap, spec, &fold, fan_units)) {
+            units.push(shard_units);
+            stats.merge(&st);
         }
-        out.extend(self.scan_l2(&self.l2, self.l2_fence, spec, &fold, &mut stats));
-        out.extend(self.scan_l1(spec, &fold, &mut stats));
-        Ok((out, stats))
+        Ok((concat(units), stats))
+    }
+}
+
+impl Shard {
+    /// This shard's part of [`TableRead::scan_batches`]; its main units go
+    /// over the pool when `fan_units`.
+    fn scan<T: Send>(
+        &self,
+        snap: &Snapshot,
+        spec: &BatchSpec<'_>,
+        fold: &(impl Fn(ColumnBatch<'_>) -> T + Sync),
+        fan_units: bool,
+    ) -> (Vec<T>, ScanStats) {
+        let mut stats = ScanStats::default();
+        let mut out = self.scan_main(snap, spec, fold, fan_units, &mut stats);
+        if let Some((frozen, fence)) = &self.l2_frozen {
+            out.extend(self.scan_l2(snap, frozen, *fence, spec, fold, &mut stats));
+        }
+        out.extend(self.scan_l2(snap, &self.l2, self.l2_fence, spec, fold, &mut stats));
+        out.extend(self.scan_l1(snap, spec, fold, &mut stats));
+        (out, stats)
     }
 
     /// One numeric decode table covering the *whole* main chain: global
@@ -514,8 +536,10 @@ impl TableRead {
 
     fn scan_main<T: Send>(
         &self,
+        snap: &Snapshot,
         spec: &BatchSpec<'_>,
         fold: &(impl Fn(ColumnBatch<'_>) -> T + Sync),
+        fan_units: bool,
         stats: &mut ScanStats,
     ) -> Vec<T> {
         let parts = self.main.parts();
@@ -537,7 +561,7 @@ impl TableRead {
         let mut vis: Vec<Option<PartVisibility>> = Vec::new();
         vis.resize_with(parts.len(), || None);
         for u in &units {
-            vis[u.chunk.part].get_or_insert_with(|| self.part_visibility(u.chunk.part));
+            vis[u.chunk.part].get_or_insert_with(|| self.part_visibility(snap, u.chunk.part));
         }
         // Numeric decode tables: once per statement, and only for the
         // columns the consumer reads numerically.
@@ -549,7 +573,10 @@ impl TableRead {
                 false => Vec::new(),
             })
             .collect();
-        let workers = self.scan_workers(units.len());
+        let workers = match fan_units {
+            true => self.workers(units.len()),
+            false => 1,
+        };
         stats.effective_parallelism = workers;
         let scan_epoch = self.table.governor.epoch();
         let produced = map_indexed(units.len(), workers, |ui| {
@@ -640,6 +667,7 @@ impl TableRead {
     /// batch borrows the dictionaries under the same lock acquisition.
     fn scan_l2<T>(
         &self,
+        snap: &Snapshot,
         l2: &L2Delta,
         fence: Pos,
         spec: &BatchSpec<'_>,
@@ -674,8 +702,11 @@ impl TableRead {
                     ms.iter()
                         .zip(&view.cols)
                         .all(|(m, (_, codes))| m.matches(codes[pos]))
-                        && self
-                            .visible(view.begins[pos].load(Acquire), view.ends[pos].load(Acquire))
+                        && self.visible(
+                            snap,
+                            view.begins[pos].load(Acquire),
+                            view.ends[pos].load(Acquire),
+                        )
                 })
                 .collect();
             if sel.is_empty() {
@@ -722,6 +753,7 @@ impl TableRead {
     /// The (small) L1 row store as one value batch, filtered row-wise.
     fn scan_l1<T>(
         &self,
+        snap: &Snapshot,
         spec: &BatchSpec<'_>,
         fold: &impl Fn(ColumnBatch<'_>) -> T,
         stats: &mut ScanStats,
@@ -735,7 +767,7 @@ impl TableRead {
                 .preds
                 .iter()
                 .all(|p| p.matches_value(&slot.values[p.column()]))
-                && self.visible(slot.begin(), slot.end())
+                && self.visible(snap, slot.begin(), slot.end())
             {
                 slots.push(slot);
             }
@@ -771,47 +803,18 @@ impl TableRead {
     }
 }
 
-/// Anything that serves batches: one table's read view, or the fan-out
-/// over a partition group's. The row and aggregate entry points below are
-/// written once against it.
-pub(crate) trait BatchSource {
-    /// Columns of the (logical) table.
-    fn arity(&self) -> usize;
-
-    /// See [`TableRead::scan_batches`].
-    fn scan<T: Send>(
-        &self,
-        spec: &BatchSpec<'_>,
-        fold: impl Fn(ColumnBatch<'_>) -> T + Sync,
-    ) -> Result<(Vec<T>, ScanStats)>;
-}
-
-impl BatchSource for TableRead {
-    fn arity(&self) -> usize {
-        self.table.schema.arity()
-    }
-
-    fn scan<T: Send>(
-        &self,
-        spec: &BatchSpec<'_>,
-        fold: impl Fn(ColumnBatch<'_>) -> T + Sync,
-    ) -> Result<(Vec<T>, ScanStats)> {
-        self.scan_batches(spec, fold)
-    }
-}
-
 /// Materialize the visible rows satisfying `preds`: rows exist only here,
 /// at the scan's output. With `narrow` a row holds just the projected
 /// columns in projection order; otherwise it is table-wide and unprojected
 /// columns are `Null` placeholders, so the caller's column indexes stay
 /// valid.
 pub(crate) fn scan_rows(
-    src: &impl BatchSource,
+    read: &TableRead,
     preds: &[ColumnPredicate],
     proj: Option<&[usize]>,
     narrow: bool,
 ) -> Result<(Vec<VisibleRow>, ScanStats)> {
-    let arity = src.arity();
+    let arity = read.arity();
     let cols: Vec<BatchCol> = match proj {
         Some(p) => p.iter().map(|&c| BatchCol::codes(c)).collect(),
         None => (0..arity).map(BatchCol::codes).collect(),
@@ -822,7 +825,7 @@ pub(crate) fn scan_rows(
         row_ids: true,
     };
     let placeholders = proj.is_some() && !narrow;
-    let (units, stats) = src.scan(&spec, |b| {
+    let (units, stats) = read.scan_batches(&spec, |b| {
         (0..b.len())
             .map(|t| {
                 let values = if placeholders {
@@ -851,13 +854,13 @@ pub(crate) fn scan_rows(
 /// `(count, sum)` of the visible non-null numeric values of `col`. Unit
 /// partials combine in unit order, so the float sum is independent of the
 /// worker count.
-pub(crate) fn aggregate_numeric(src: &impl BatchSource, col: usize) -> Result<(u64, f64)> {
+pub(crate) fn aggregate_numeric(read: &TableRead, col: usize) -> Result<(u64, f64)> {
     let spec = BatchSpec {
         preds: &[],
         cols: &[BatchCol::numeric(col)],
         row_ids: false,
     };
-    let (units, _) = src.scan(&spec, |b| {
+    let (units, _) = read.scan_batches(&spec, |b| {
         let (mut count, mut sum) = (0u64, 0.0f64);
         for &x in &b.cols[0].numeric {
             if !x.is_nan() {
@@ -876,7 +879,7 @@ pub(crate) fn aggregate_numeric(src: &impl BatchSource, col: usize) -> Result<(u
 /// sorted by key. Every unit accumulates by dictionary code and decodes its
 /// surviving group keys once; units merge in unit order.
 pub(crate) fn group_aggregate(
-    src: &impl BatchSource,
+    read: &TableRead,
     group_col: usize,
     agg_col: usize,
 ) -> Result<Vec<(Value, u64, f64)>> {
@@ -885,7 +888,7 @@ pub(crate) fn group_aggregate(
         cols: &[BatchCol::codes(group_col), BatchCol::numeric(agg_col)],
         row_ids: false,
     };
-    let (units, _) = src.scan(&spec, |b| -> Vec<(Value, u64, f64)> {
+    let (units, _) = read.scan_batches(&spec, |b| -> Vec<(Value, u64, f64)> {
         let key = &b.cols[0].data;
         let (slots, reps) = group_slots(b.len(), &[key]);
         let mut acc = vec![(0u64, 0.0f64); reps.len()];

@@ -64,7 +64,7 @@ pub use gc::{GcShared, GcStats, TableGc};
 pub use governor::{ResourceGovernor, ScanPermit};
 pub use lifecycle::StageStats;
 pub use loc::Loc;
-pub use partition::{PartitionedRead, PartitionedTable};
+pub use partition::PartitionedTable;
 pub use read::{TableRead, VisibleRow};
 pub use scrub::Scrubber;
 pub use table::UnifiedTable;

@@ -18,10 +18,6 @@
 //!   the merge").
 //! * [`UnifiedTable::maybe_merge`] — the policy-driven entry point the
 //!   [`MergeDaemon`](hana_merge::MergeDaemon) calls.
-//!
-//! `MergeConfig::legacy_blocking_publication` re-enables the old protocol
-//! (stream + reconciliation inside the exclusive section) as the baseline
-//! arm of the F7c writer-stall experiment.
 
 use crate::table::UnifiedTable;
 use hana_column::Pos;
@@ -84,9 +80,6 @@ impl UnifiedTable {
     /// number of rows moved.
     pub fn merge_l1(&self) -> Result<usize> {
         let _m = self.l1_merge_lock.lock();
-        if self.config.merge.legacy_blocking_publication {
-            return self.merge_l1_blocking();
-        }
 
         // Step 1 (brief shared lock): pin the open L2 and remember its
         // generation for the publication-time handoff check.
@@ -194,41 +187,6 @@ impl UnifiedTable {
         Ok(moved)
     }
 
-    /// The pre-non-blocking L1→L2 protocol: stream + publication both under
-    /// the exclusive state lock. Baseline arm of the F7c experiment.
-    fn merge_l1_blocking(&self) -> Result<usize> {
-        let state = self.state.write();
-        let held = std::time::Instant::now();
-        let outcome = l1_to_l2_merge(
-            &self.l1,
-            &state.l2,
-            &self.mgr,
-            self.history.is_some(),
-            self.config.l1_max_rows.max(1),
-        )?;
-        let moved = outcome.moved.len();
-        if moved > 0 || !outcome.dropped.is_empty() {
-            state.l2.publish_all();
-            self.l1.truncate_prefix(outcome.truncate_upto);
-            if let Some(h) = &self.history {
-                for v in outcome.historic {
-                    h.push(v);
-                }
-            }
-        }
-        let gen = state.l2.generation();
-        drop(state);
-        self.note_publication_stall(held.elapsed());
-        if moved > 0 {
-            let _ = self.redo(&LogRecord::MergeEvent {
-                table: self.id,
-                kind: 0,
-                l2_generation: gen,
-            });
-        }
-        Ok(moved)
-    }
-
     /// Drain the whole L1 into the L2 (repeated merge steps until empty or
     /// blocked). Returns rows moved.
     pub fn drain_l1(&self) -> Result<usize> {
@@ -313,78 +271,45 @@ impl UnifiedTable {
             }
         };
 
-        if self.config.merge.legacy_blocking_publication {
-            // Legacy protocol: index building + full pending replay inside
-            // the exclusive section (work proportional to the new main).
-            let mut state = self.state.write();
-            let held = std::time::Instant::now();
-            let pending = std::mem::take(&mut *self.pending_ends.lock());
-            if !pending.is_empty() {
-                for part in new_main
-                    .parts()
+        // Phase 2b (no lock): index the freshly built part(s) — rows of
+        // this merge live in parts stamped `generation`; passive parts
+        // of a partial merge are shared `Arc`s whose end stamps writers
+        // hit directly — and drain the bulk of the raced end stamps
+        // against the still-unpublished build.
+        let index: FxHashMap<RowId, (usize, u32)> = new_main
+            .parts()
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.generation() == generation)
+            .flat_map(|(pi, p)| {
+                p.row_ids()
                     .iter()
-                    .filter(|p| p.generation() == generation)
-                {
-                    let index: FxHashMap<_, _> = part
-                        .row_ids()
-                        .iter()
-                        .enumerate()
-                        .map(|(pos, id)| (*id, pos as u32))
-                        .collect();
-                    for (row_id, ts) in &pending {
-                        if let Some(&pos) = index.get(row_id) {
-                            part.store_end(pos, *ts);
-                        }
-                    }
+                    .enumerate()
+                    .map(move |(pos, id)| (*id, (pi, pos as u32)))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let apply = |new_main: &MainStore, queued: Vec<(RowId, Timestamp)>| {
+            for (row_id, ts) in queued {
+                if let Some(&(pi, pos)) = index.get(&row_id) {
+                    new_main.parts()[pi].store_end(pos, ts);
                 }
             }
-            state.main = Arc::new(new_main);
-            state.l2_frozen = None;
-            *self.last_merge_metrics.lock() = Some(metrics);
-            self.delta_merge_running.store(false, Ordering::SeqCst);
-            drop(state);
-            self.note_publication_stall(held.elapsed());
-        } else {
-            // Phase 2b (no lock): index the freshly built part(s) — rows of
-            // this merge live in parts stamped `generation`; passive parts
-            // of a partial merge are shared `Arc`s whose end stamps writers
-            // hit directly — and drain the bulk of the raced end stamps
-            // against the still-unpublished build.
-            let index: FxHashMap<RowId, (usize, u32)> = new_main
-                .parts()
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.generation() == generation)
-                .flat_map(|(pi, p)| {
-                    p.row_ids()
-                        .iter()
-                        .enumerate()
-                        .map(move |(pos, id)| (*id, (pi, pos as u32)))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            let apply = |new_main: &MainStore, queued: Vec<(RowId, Timestamp)>| {
-                for (row_id, ts) in queued {
-                    if let Some(&(pi, pos)) = index.get(&row_id) {
-                        new_main.parts()[pi].store_end(pos, ts);
-                    }
-                }
-            };
-            apply(&new_main, std::mem::take(&mut *self.pending_ends.lock()));
+        };
+        apply(&new_main, std::mem::take(&mut *self.pending_ends.lock()));
 
-            // Phase 3 (brief exclusive lock): drain the residue through the
-            // prebuilt index — bounded by the end stamps that raced the one
-            // off-line drain above, not by table size — then swap.
-            let mut state = self.state.write();
-            let held = std::time::Instant::now();
-            apply(&new_main, std::mem::take(&mut *self.pending_ends.lock()));
-            state.main = Arc::new(new_main);
-            state.l2_frozen = None;
-            *self.last_merge_metrics.lock() = Some(metrics);
-            self.delta_merge_running.store(false, Ordering::SeqCst);
-            drop(state);
-            self.note_publication_stall(held.elapsed());
-        }
+        // Phase 3 (brief exclusive lock): drain the residue through the
+        // prebuilt index — bounded by the end stamps that raced the one
+        // off-line drain above, not by table size — then swap.
+        let mut state = self.state.write();
+        let held = std::time::Instant::now();
+        apply(&new_main, std::mem::take(&mut *self.pending_ends.lock()));
+        state.main = Arc::new(new_main);
+        state.l2_frozen = None;
+        *self.last_merge_metrics.lock() = Some(metrics);
+        self.delta_merge_running.store(false, Ordering::SeqCst);
+        drop(state);
+        self.note_publication_stall(held.elapsed());
         // Best-effort, after publication: the new main is already visible
         // and correct without this record (recovery ignores merge events),
         // so a log failure here must not turn a succeeded merge into an

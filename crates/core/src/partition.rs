@@ -12,20 +12,17 @@
 //! transaction, commit/abort visit exactly the (table, partition) pairs a
 //! transaction actually wrote.
 //!
-//! Reads fan out through [`PartitionedRead`]: one pinned [`TableRead`] per
-//! partition under one shared snapshot, executed over the bounded
-//! [`map_indexed`] pool and combined in partition-index order — each
+//! A read of a partitioned table is an ordinary [`TableRead`] with one
+//! shard per partition under one shared snapshot: the partitions fan out
+//! over the bounded pool and combine in partition-index order — each
 //! partition's result is bit-identical to its serial scan, so the combined
 //! output is deterministic regardless of worker count.
 
-use crate::batch::{self, BatchSource, BatchSpec, ColumnBatch};
-use crate::filter::{ColumnPredicate, ScanStats};
-use crate::read::{TableRead, VisibleRow};
+use crate::read::TableRead;
 use crate::table::UnifiedTable;
 use hana_common::{
     ColumnId, HanaError, PartitionSpec, Result, RowId, Schema, TableConfig, TableId, Value,
 };
-use hana_merge::{effective_workers, map_indexed};
 use hana_txn::{Snapshot, Transaction, TxnManager};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -189,54 +186,16 @@ impl PartitionedTable {
         self.route(key).delete_where(txn, self.key_col, key)
     }
 
-    /// Open a partition-fanned read view for one statement of `txn`.
-    pub fn read(&self, txn: &Transaction) -> PartitionedRead {
+    /// Open a read view for one statement of `txn`, one shard per
+    /// partition.
+    pub fn read(&self, txn: &Transaction) -> TableRead {
         self.read_at(txn.read_snapshot())
     }
 
-    /// Open a partition-fanned read view under an explicit snapshot. Shard
-    /// views are marked serial so only the partition level fans out — the
-    /// pool is sized once here instead of once per shard (nested fan-out
-    /// oversubscribed small hosts badly; see `ResourceGovernor`).
-    pub fn read_at(&self, snap: Snapshot) -> PartitionedRead {
-        PartitionedRead {
-            reads: self
-                .partitions
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let mut r = p.read_at(snap);
-                    r.set_shard(i);
-                    r
-                })
-                .collect(),
-            scan_parallelism: self.partitions[0].config().scan.scan_parallelism,
-            governor: Arc::clone(self.partitions[0].governor()),
-        }
-    }
-
-    /// Parallel full scan across partitions (delegates to the read view's
-    /// compressed-domain machinery: per-partition visibility summaries and
-    /// cached bitmaps, combined in partition order).
-    pub fn parallel_scan(&self, snap: Snapshot) -> Vec<VisibleRow> {
-        self.read_at(snap).collect_rows()
-    }
-
-    /// Parallel filtered scan: per-partition `scan_filtered` with zone-map
-    /// pruning, per-partition `ScanStats` summed into one block.
-    pub fn parallel_scan_filtered(
-        &self,
-        snap: Snapshot,
-        preds: &[ColumnPredicate],
-        proj: Option<&[usize]>,
-    ) -> Result<(Vec<VisibleRow>, ScanStats)> {
-        self.read_at(snap).scan_filtered(preds, proj)
-    }
-
-    /// Parallel numeric aggregate `(count, sum)` across partitions, through
-    /// each partition's columnar code-domain aggregation path.
-    pub fn parallel_aggregate(&self, snap: Snapshot, col: usize) -> Result<(u64, f64)> {
-        self.read_at(snap).aggregate_numeric(col)
+    /// Open a read view under an explicit snapshot, one shard per
+    /// partition in partition order.
+    pub fn read_at(&self, snap: Snapshot) -> TableRead {
+        TableRead::pin(&self.partitions, snap)
     }
 
     /// Run the lifecycle policy on every partition.
@@ -249,169 +208,10 @@ impl PartitionedTable {
     }
 }
 
-/// A consistent read view over every partition of a [`PartitionedTable`]
-/// under one shared snapshot: one pinned [`TableRead`] per partition.
-///
-/// Every operation fans out over [`map_indexed`] and combines results in
-/// partition-index order, each partition in its canonical scan order — the
-/// combined result is deterministic and bit-identical to executing the
-/// partitions serially.
-pub struct PartitionedRead {
-    reads: Vec<TableRead>,
-    scan_parallelism: usize,
-    governor: Arc<crate::governor::ResourceGovernor>,
-}
-
-impl PartitionedRead {
-    /// The per-partition read views (partition-index order).
-    pub fn partition_reads(&self) -> &[TableRead] {
-        &self.reads
-    }
-
-    /// The governor shared by every partition of this view.
-    pub fn governor(&self) -> &Arc<crate::governor::ResourceGovernor> {
-        &self.governor
-    }
-
-    /// Fan-out degree for `n` partition jobs, honoring the table's scan
-    /// parallelism knob (`1` forces serial, `0` auto-sizes from the CPUs)
-    /// and the governor's clamp: never more shard scans than cores, and
-    /// down to `min_scan_parallelism` while OLTP is hot.
-    fn workers(&self) -> usize {
-        let n = self.reads.len();
-        if n <= 1 || self.scan_parallelism == 1 {
-            return 1;
-        }
-        self.governor
-            .effective_parallelism(effective_workers(self.scan_parallelism))
-            .min(n)
-    }
-
-    fn fan_out<T: Send>(&self, f: impl Fn(&TableRead) -> T + Send + Sync) -> Vec<T> {
-        map_indexed(self.reads.len(), self.workers(), |i| f(&self.reads[i]))
-    }
-
-    /// Partition-parallel [batch scan](crate::batch): every shard serves
-    /// its units serially (zone maps, code-domain kernels and visibility
-    /// bitmaps per shard), shards fan out over the pool, and the fold
-    /// results come back in partition-index order, each shard in its unit
-    /// order; per-partition [`ScanStats`] are summed so pruning and cache
-    /// observability survive sharding. Batches carry their partition index
-    /// as `source`.
-    pub fn scan_batches<T: Send>(
-        &self,
-        spec: &BatchSpec<'_>,
-        fold: impl Fn(ColumnBatch<'_>) -> T + Sync,
-    ) -> Result<(Vec<T>, ScanStats)> {
-        let mut out = Vec::new();
-        let mut stats = ScanStats::default();
-        for res in self.fan_out(|r| r.scan_batches(spec, &fold)) {
-            let (units, st) = res?;
-            out.extend(units);
-            stats.merge(&st);
-        }
-        Ok((out, stats))
-    }
-
-    /// All visible rows, partitions combined in partition-index order.
-    pub fn collect_rows(&self) -> Vec<VisibleRow> {
-        self.collect_rows_projected(None)
-    }
-
-    /// [`collect_rows`](Self::collect_rows) with a projection pushed into
-    /// materialization.
-    pub fn collect_rows_projected(&self, proj: Option<&[usize]>) -> Vec<VisibleRow> {
-        batch::scan_rows(self, &[], proj, false)
-            .expect("projection columns are in range")
-            .0
-    }
-
-    /// Partition-parallel filtered scan (see [`TableRead::scan_filtered`]).
-    pub fn scan_filtered(
-        &self,
-        preds: &[ColumnPredicate],
-        proj: Option<&[usize]>,
-    ) -> Result<(Vec<VisibleRow>, ScanStats)> {
-        batch::scan_rows(self, preds, proj, false)
-    }
-
-    /// Count visible rows across all partitions.
-    pub fn count(&self) -> usize {
-        self.fan_out(|r| r.count()).into_iter().sum()
-    }
-
-    /// Point query: routes through each partition's dictionaries and
-    /// inverted indexes (all partitions are consulted — use
-    /// [`PartitionedTable::point`] for key-column lookups, which touch
-    /// exactly one).
-    pub fn point(&self, col: usize, v: &Value) -> Result<Vec<Vec<Value>>> {
-        let per = self.fan_out(|r| r.point(col, v));
-        let mut out = Vec::new();
-        for res in per {
-            out.extend(res?);
-        }
-        Ok(out)
-    }
-
-    /// Columnar `(count, sum)` aggregate over one numeric column. Partials
-    /// combine in partition-index order, so the float sum is independent of
-    /// the worker count.
-    pub fn aggregate_numeric(&self, col: usize) -> Result<(u64, f64)> {
-        batch::aggregate_numeric(self, col)
-    }
-
-    /// Group-by aggregation across all partitions, output sorted by key
-    /// (the same contract as the single-table path).
-    pub fn group_aggregate(
-        &self,
-        group_col: usize,
-        agg_col: usize,
-    ) -> Result<Vec<(Value, u64, f64)>> {
-        batch::group_aggregate(self, group_col, agg_col)
-    }
-
-    /// `(hits, misses)` of the visibility-bitmap caches summed over every
-    /// partition's read view.
-    pub fn vis_cache_stats(&self) -> (u64, u64) {
-        let (mut h, mut m) = (0u64, 0u64);
-        for r in &self.reads {
-            let (rh, rm) = r.vis_cache_stats();
-            h += rh;
-            m += rm;
-        }
-        (h, m)
-    }
-
-    /// Rows per stage `(L1, L2, main)` summed over partitions.
-    pub fn stage_row_counts(&self) -> (usize, usize, usize) {
-        let (mut a, mut b, mut c) = (0, 0, 0);
-        for r in &self.reads {
-            let (x, y, z) = r.stage_row_counts();
-            a += x;
-            b += y;
-            c += z;
-        }
-        (a, b, c)
-    }
-}
-
-impl BatchSource for PartitionedRead {
-    fn arity(&self) -> usize {
-        self.reads[0].arity()
-    }
-
-    fn scan<T: Send>(
-        &self,
-        spec: &BatchSpec<'_>,
-        fold: impl Fn(ColumnBatch<'_>) -> T + Sync,
-    ) -> Result<(Vec<T>, ScanStats)> {
-        self.scan_batches(spec, fold)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::{ColumnPredicate, ScanStats};
     use hana_common::{ColumnDef, DataType};
     use hana_txn::IsolationLevel;
 
@@ -501,9 +301,9 @@ mod tests {
         // Push some partitions through merges to mix stages.
         pt.maybe_merge_all().unwrap();
         let snap = hana_txn::Snapshot::at(mgr.now());
-        let rows = pt.parallel_scan(snap);
-        assert_eq!(rows.len(), 100);
-        let (count, sum) = pt.parallel_aggregate(snap, 1).unwrap();
+        let read = pt.read_at(snap);
+        assert_eq!(read.collect_rows().len(), 100);
+        let (count, sum) = read.aggregate_numeric(1).unwrap();
         assert_eq!(count, 100);
         assert_eq!(sum, 100.0);
     }
@@ -527,7 +327,7 @@ mod tests {
             std::ops::Bound::Included(Value::Int(20)),
             std::ops::Bound::Included(Value::Int(39)),
         )];
-        let (rows, stats) = pt.parallel_scan_filtered(snap, &preds, None).unwrap();
+        let (rows, stats) = pt.read_at(snap).scan_filtered(&preds, None).unwrap();
         assert_eq!(rows.len(), 20);
         // The merged stats must equal the sum of per-partition runs.
         let mut expect = ScanStats::default();
@@ -549,6 +349,87 @@ mod tests {
         let groups = read.group_aggregate(1, 0).unwrap();
         assert_eq!(groups.len(), 10);
         assert!(groups.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    /// A partitioned read is the per-partition single reads, one shard
+    /// each: what it gained from being one type (range, project, the
+    /// global dictionary, debug versions) answers with their union.
+    #[test]
+    fn partitioned_read_is_the_union_of_single_reads() {
+        let (mgr, pt) = setup(3);
+        let mut txn = mgr.begin(IsolationLevel::Transaction);
+        for i in 0..90 {
+            pt.insert(&txn, vec![Value::Int(i), Value::Int(i % 7)])
+                .unwrap();
+        }
+        txn.commit().unwrap();
+        // Stages differ per partition: main, L2, and rows left in L1.
+        pt.partitions()[0].force_full_merge().unwrap();
+        pt.partitions()[1].merge_l1().unwrap();
+        let txn = mgr.begin(IsolationLevel::Transaction);
+        pt.insert(&txn, vec![Value::Int(1000), Value::Int(3)])
+            .unwrap();
+        pt.delete_where(&txn, &Value::Int(4)).unwrap();
+        let read = pt.read(&txn);
+        let singles: Vec<TableRead> = pt.partitions().iter().map(|p| p.read(&txn)).collect();
+        let union = |f: &dyn Fn(&TableRead) -> Vec<Vec<Value>>| {
+            let mut rows: Vec<Vec<Value>> = singles.iter().flat_map(f).collect();
+            rows.sort();
+            rows
+        };
+        let sorted = |mut rows: Vec<Vec<Value>>| {
+            rows.sort();
+            rows
+        };
+
+        let (lo, hi) = (Value::Int(2), Value::Int(5));
+        let range = |r: &TableRead| {
+            r.range(
+                1,
+                std::ops::Bound::Included(&lo),
+                std::ops::Bound::Excluded(&hi),
+            )
+            .unwrap()
+        };
+        assert_eq!(sorted(range(&read)), union(&range));
+        assert!(!range(&read).is_empty());
+
+        let project = |r: &TableRead| {
+            let rows = r.project(&[1]).unwrap();
+            rows.into_iter().map(|v| v.values).collect()
+        };
+        assert_eq!(sorted(project(&read)), union(&project));
+        assert_eq!(project(&read).len(), 90);
+
+        let dict: Vec<Value> = read
+            .global_sorted_dict(0)
+            .unwrap()
+            .iter()
+            .map(|(v, _)| v.clone())
+            .collect();
+        let mut want: Vec<Value> = singles
+            .iter()
+            .flat_map(|r| {
+                let d = r.global_sorted_dict(0).unwrap();
+                d.iter().map(|(v, _)| v.clone()).collect::<Vec<_>>()
+            })
+            .collect();
+        want.sort();
+        want.dedup();
+        assert_eq!(dict, want);
+
+        for key in [Value::Int(4), Value::Int(1000), Value::Int(50)] {
+            let versions: Vec<_> = singles
+                .iter()
+                .flat_map(|r| r.debug_versions(0, &key))
+                .collect();
+            assert_eq!(read.debug_versions(0, &key), versions);
+        }
+
+        let counts = singles.iter().map(TableRead::stage_row_counts);
+        let summed = counts.fold((0, 0, 0), |a, c| (a.0 + c.0, a.1 + c.1, a.2 + c.2));
+        assert_eq!(read.stage_row_counts(), summed);
+        assert!(summed.0 > 0 && summed.1 > 0 && summed.2 > 0, "{summed:?}");
     }
 
     #[test]

@@ -1,13 +1,21 @@
 //! Statement-scoped read views.
 //!
-//! A [`TableRead`] pins everything one statement may see: the MVCC snapshot,
-//! an L1 segment view, the L2 structures with their row-count fences, and
-//! the main chain `Arc`. Merges swap structures for *new* views; an existing
-//! view keeps reading its pinned ones — the paper's "all running operations
+//! A [`TableRead`] pins everything one statement may see: the MVCC snapshot
+//! and, per **shard** — the one unified table, or each partition of a
+//! [`PartitionedTable`](crate::PartitionedTable), in partition order — an L1
+//! segment view, the L2 structures with their row-count fences, and the main
+//! chain `Arc`. Merges swap structures for *new* views; an existing view
+//! keeps reading its pinned ones — the paper's "all running operations
 //! either see the full L1-delta and the old end-of-delta border or the
 //! truncated version … with the expanded version of the L2-delta", and
 //! §4.1's "keep the old and the new versions … until all database operations
 //! of open transactions … have finished".
+//!
+//! A single table is a one-shard read. One rule decides the fan-out
+//! ([`TableRead::fan_out`]): several shards go over the pool, each serving
+//! its units serially; a lone shard puts its units (16Ki-row chunks, point
+//! hit ranges) over the pool. Results come back in shard order, then unit
+//! order, so every answer is independent of the worker count.
 //!
 //! Scans, projections and the columnar aggregates are folds over the one
 //! [batch scan](crate::batch); this module keeps what is not a scan: opening
@@ -31,10 +39,17 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A consistent, merge-proof view of one table under one snapshot.
+/// A consistent, merge-proof view of one table — or of every partition of a
+/// partitioned table — under one snapshot.
 pub struct TableRead {
-    pub(crate) table: Arc<UnifiedTable>,
     snap: Snapshot,
+    /// One per table, in partition order (never empty).
+    shards: Vec<Shard>,
+}
+
+/// What a [`TableRead`] pins of one unified table.
+pub(crate) struct Shard {
+    pub(crate) table: Arc<UnifiedTable>,
     pub(crate) l1: L1Snapshot,
     pub(crate) l2: Arc<L2Delta>,
     pub(crate) l2_fence: Pos,
@@ -44,12 +59,8 @@ pub struct TableRead {
     cache_hits: AtomicU64,
     /// Visibility bitmaps this view had to compute from raw stamps.
     cache_misses: AtomicU64,
-    /// Set when this view is one shard of a partition fan-out: chunk-level
-    /// parallelism is suppressed so the partition-level fan-out alone
-    /// sizes the thread pool (see `PartitionedRead`).
-    serial_shard: bool,
-    /// Index of this view within its read (the partition index of a shard,
-    /// else 0); stamped on every batch it serves.
+    /// Index of this shard within its read (the partition index, else 0);
+    /// stamped on every batch it serves.
     pub(crate) source: usize,
 }
 
@@ -71,78 +82,67 @@ impl UnifiedTable {
     /// Open a read view under an explicit snapshot (time travel uses
     /// `Snapshot::at(ts)`).
     pub fn read_at(self: &Arc<Self>, snap: Snapshot) -> TableRead {
-        let state = self.state.read();
-        TableRead {
-            snap,
-            l1: self.l1.snapshot(),
-            l2: Arc::clone(&state.l2),
-            l2_fence: state.l2.published_len(),
-            l2_frozen: state
-                .l2_frozen
-                .as_ref()
-                .map(|f| (Arc::clone(f), f.published_len())),
-            main: Arc::clone(&state.main),
-            table: Arc::clone(self),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            serial_shard: false,
-            source: 0,
-        }
-    }
-}
-
-/// Materialize one L2 row under a projection: unprojected columns are
-/// `Null` placeholders so downstream column indexes stay stable.
-fn l2_row(l2: &L2Delta, pos: Pos, arity: usize, proj: Option<&[usize]>) -> Vec<Value> {
-    match proj {
-        None => l2.row(pos),
-        Some(cols) => {
-            let mut row = vec![Value::Null; arity];
-            for &c in cols {
-                row[c] = l2.value(pos, c);
-            }
-            row
-        }
-    }
-}
-
-/// Materialize an L1 slot's values under a projection, cloning only the
-/// columns the caller asked for.
-fn slot_row(values: &[Value], proj: Option<&[usize]>) -> Vec<Value> {
-    match proj {
-        None => values.to_vec(),
-        Some(cols) => {
-            let mut row = vec![Value::Null; values.len()];
-            for &c in cols {
-                row[c] = values[c].clone();
-            }
-            row
-        }
+        TableRead::pin(std::slice::from_ref(self), snap)
     }
 }
 
 impl TableRead {
+    /// Pin `tables` under `snap`, one shard each, in the given order.
+    pub(crate) fn pin(tables: &[Arc<UnifiedTable>], snap: Snapshot) -> TableRead {
+        let shards = tables
+            .iter()
+            .enumerate()
+            .map(|(source, table)| {
+                let state = table.state.read();
+                Shard {
+                    l1: table.l1.snapshot(),
+                    l2: Arc::clone(&state.l2),
+                    l2_fence: state.l2.published_len(),
+                    l2_frozen: state
+                        .l2_frozen
+                        .as_ref()
+                        .map(|f| (Arc::clone(f), f.published_len())),
+                    main: Arc::clone(&state.main),
+                    table: Arc::clone(table),
+                    cache_hits: AtomicU64::new(0),
+                    cache_misses: AtomicU64::new(0),
+                    source,
+                }
+            })
+            .collect();
+        TableRead { snap, shards }
+    }
+
+    /// The fan-out rule, for every operation of the view: with several
+    /// shards, the shards go over the pool (clamped like any scan, see
+    /// [`Shard::workers`]) and `f` is told to serve its units serially; a
+    /// lone shard runs in place and may fan its units out. Nesting both
+    /// levels would oversubscribe the pool. Results in shard order.
+    pub(crate) fn fan_out<T: Send>(&self, f: impl Fn(&Shard, bool) -> T + Sync) -> Vec<T> {
+        match self.shards.as_slice() {
+            [lone] => vec![f(lone, true)],
+            shards => map_indexed(shards.len(), shards[0].workers(shards.len()), |i| {
+                f(&shards[i], false)
+            }),
+        }
+    }
+
     /// The snapshot this view reads under.
     pub fn snapshot(&self) -> &Snapshot {
         &self.snap
     }
 
-    /// Mark this view as shard `index` of a partition fan-out: chunk-level
-    /// parallelism is suppressed so only the partition level fans out.
-    pub(crate) fn set_shard(&mut self, index: usize) {
-        self.serial_shard = true;
-        self.source = index;
-    }
-
-    /// The table's (database-wide) resource governor — the engine layer
-    /// takes scan admission tokens through this.
+    /// The (database-wide) resource governor — the engine layer takes scan
+    /// admission tokens through this.
     pub fn governor(&self) -> &Arc<crate::governor::ResourceGovernor> {
-        self.table.governor()
+        self.shards[0].table.governor()
     }
 
-    /// The pinned main chain (exposed for engine-layer operators).
+    /// The pinned main chain of a single-table view (exposed for
+    /// engine-layer operators; a partitioned view has one chain per shard).
     pub fn main(&self) -> &MainStore {
-        &self.main
+        debug_assert_eq!(self.shards.len(), 1, "main() of a partitioned view");
+        &self.shards[0].main
     }
 
     /// `(hits, misses)` of the per-part visibility-bitmap cache as seen by
@@ -151,89 +151,32 @@ impl TableRead {
     /// computed one from every raw MVCC stamp of the part. Wholly-visible
     /// parts bypass the bitmaps entirely and count as neither.
     pub fn vis_cache_stats(&self) -> (u64, u64) {
-        (
-            self.cache_hits.load(Ordering::Relaxed),
-            self.cache_misses.load(Ordering::Relaxed),
-        )
+        self.shards.iter().fold((0, 0), |(h, m), s| {
+            (
+                h + s.cache_hits.load(Ordering::Relaxed),
+                m + s.cache_misses.load(Ordering::Relaxed),
+            )
+        })
     }
 
-    pub(crate) fn visible(&self, begin: Timestamp, end: Timestamp) -> bool {
-        version_visible(&self.table.mgr, &self.snap, begin, end)
+    /// Columns of the (logical) table.
+    pub(crate) fn arity(&self) -> usize {
+        self.shards[0].table.schema.arity()
     }
 
     pub(crate) fn schema_col(&self, col: usize) -> Result<()> {
-        if col >= self.table.schema.arity() {
+        if col >= self.arity() {
             return Err(HanaError::Schema(format!(
                 "column index {col} out of range for {}",
-                self.table.schema.name
+                self.shards[0].table.schema.name
             )));
         }
         Ok(())
     }
 
-    fn check_projection(&self, proj: Option<&[usize]>) -> Result<()> {
-        if let Some(cols) = proj {
-            for &c in cols {
-                self.schema_col(c)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Resolve the scan fan-out degree for `jobs` chunks of work: the
-    /// configured `scan_parallelism`, clamped by the governor (never more
-    /// workers than cores; down to `min_scan_parallelism` while the OLTP
-    /// signal is hot) and additionally forced serial when this read is one
-    /// shard of a partition fan-out (the parallelism then lives at the
-    /// partition level — nesting both fan-outs oversubscribes the pool).
-    pub(crate) fn scan_workers(&self, jobs: usize) -> usize {
-        if jobs <= 1 || self.serial_shard {
-            return 1;
-        }
-        let requested = self.table.config.scan.scan_parallelism;
-        if requested == 1 {
-            1
-        } else {
-            self.table
-                .governor
-                .effective_parallelism(effective_workers(requested))
-                .min(jobs)
-        }
-    }
-
-    /// Resolve the visibility of main part `pi` under this snapshot (see
-    /// [`PartVisibility::resolve`]) and count the cache outcome.
-    pub(crate) fn part_visibility(&self, pi: usize) -> PartVisibility {
-        let (vis, lookup) =
-            PartVisibility::resolve(&self.table.mgr, &self.snap, &self.main.parts()[pi]);
-        match lookup {
-            Lookup::Summary => {}
-            Lookup::Hit => {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            Lookup::Miss => {
-                self.cache_misses.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        vis
-    }
-
-    /// Materialize one main row under a projection (see [`l2_row`]).
-    fn main_row(&self, hit: PartHit, proj: Option<&[usize]>) -> Vec<Value> {
-        match proj {
-            None => self.main.row_at(hit),
-            Some(cols) => {
-                let mut row = vec![Value::Null; self.table.schema.arity()];
-                for &c in cols {
-                    row[c] = self.main.value_at(hit, c);
-                }
-                row
-            }
-        }
-    }
-
     /// Iterate every *visible* row, main first, then frozen L2, then open
-    /// L2, then L1 — oldest store to newest, matching merge order.
+    /// L2, then L1 — oldest store to newest, matching merge order — shard
+    /// by shard.
     pub fn for_each_visible(&self, f: impl FnMut(VisibleRow)) {
         self.collect_rows().into_iter().for_each(f);
     }
@@ -267,8 +210,8 @@ impl TableRead {
     ///
     /// With empty `preds` this is
     /// [`collect_rows_projected`](Self::collect_rows_projected). Output order matches
-    /// [`for_each_visible`](Self::for_each_visible): main in chunk order,
-    /// then frozen L2, open L2, L1 — so parallel execution stays
+    /// [`for_each_visible`](Self::for_each_visible): per shard, main in chunk
+    /// order, then frozen L2, open L2, L1 — so parallel execution stays
     /// bit-identical to serial.
     pub fn scan_filtered(
         &self,
@@ -281,102 +224,23 @@ impl TableRead {
     /// Count visible rows. Wholly-visible parts contribute their length,
     /// bitmap-resolved parts a popcount — no row is materialized.
     pub fn count(&self) -> usize {
-        let parts = self.main.parts();
-        let mut n = 0usize;
-        for (pi, part) in parts.iter().enumerate() {
-            n += self.part_visibility(pi).visible_rows(part.len());
-        }
-        if let Some((frozen, fence)) = &self.l2_frozen {
-            for pos in 0..*fence {
-                if self.visible(frozen.begin(pos), frozen.end(pos)) {
-                    n += 1;
-                }
-            }
-        }
-        for pos in 0..self.l2_fence {
-            if self.visible(self.l2.begin(pos), self.l2.end(pos)) {
-                n += 1;
-            }
-        }
-        for (_, slot) in self.l1.iter() {
-            if self.visible(slot.begin(), slot.end()) {
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Filter a main-store hit list through the visibility summary/bitmaps
-    /// and materialize the surviving rows, fanning large lists out over the
-    /// scan pool (in-order reassembly keeps the output deterministic).
-    fn materialize_main_hits(&self, hits: &[PartHit], proj: Option<&[usize]>) -> Vec<Vec<Value>> {
-        if hits.is_empty() {
-            return Vec::new();
-        }
-        let parts = self.main.parts();
-        let mut vis: Vec<Option<PartVisibility>> = Vec::with_capacity(parts.len());
-        vis.resize_with(parts.len(), || None);
-        for h in hits {
-            if vis[h.part].is_none() {
-                vis[h.part] = Some(self.part_visibility(h.part));
-            }
-        }
-        let ranges = plan_ranges(hits.len());
-        let workers = self.scan_workers(ranges.len());
-        let produced = map_indexed(ranges.len(), workers, |ri| {
-            let (start, end) = ranges[ri];
-            let mut rows = Vec::new();
-            for h in &hits[start..end] {
-                if vis[h.part]
-                    .as_ref()
-                    .expect("visibility resolved")
-                    .is_visible(h.pos)
-                {
-                    rows.push(self.main_row(*h, proj));
-                }
-            }
-            rows
-        });
-        produced.into_iter().flatten().collect()
+        self.fan_out(|s, _| s.count(&self.snap)).into_iter().sum()
     }
 
     /// Point query: visible rows with `col = v`, via the dictionaries and
     /// inverted indexes of the column stages and a scan of the (small) L1.
+    /// Every shard is consulted — use
+    /// [`PartitionedTable::point`](crate::PartitionedTable::point) for a
+    /// partition-key lookup, which touches exactly one.
     pub fn point(&self, col: usize, v: &Value) -> Result<Vec<Vec<Value>>> {
-        self.point_projected(col, v, None)
-    }
-
-    /// [`point`](Self::point) with a projection pushed into materialization
-    /// (unprojected columns are `Null` placeholders).
-    pub fn point_projected(
-        &self,
-        col: usize,
-        v: &Value,
-        proj: Option<&[usize]>,
-    ) -> Result<Vec<Vec<Value>>> {
         self.schema_col(col)?;
-        self.check_projection(proj)?;
-        let hits = self.main.positions_eq(col, v);
-        let mut out = self.materialize_main_hits(&hits, proj);
-        let arity = self.table.schema.arity();
-        if let Some((frozen, fence)) = &self.l2_frozen {
-            for pos in frozen.positions_eq(col, v, *fence) {
-                if self.visible(frozen.begin(pos), frozen.end(pos)) {
-                    out.push(l2_row(frozen, pos, arity, proj));
-                }
-            }
-        }
-        for pos in self.l2.positions_eq(col, v, self.l2_fence) {
-            if self.visible(self.l2.begin(pos), self.l2.end(pos)) {
-                out.push(l2_row(&self.l2, pos, arity, proj));
-            }
-        }
-        for (_, slot) in self.l1.iter() {
-            if &slot.values[col] == v && self.visible(slot.begin(), slot.end()) {
-                out.push(slot_row(&slot.values, proj));
-            }
-        }
-        Ok(out)
+        Ok(concat(self.fan_out(|s, fan_units| {
+            let hits = s.main.positions_eq(col, v);
+            let mut out = s.materialize_main_hits(&self.snap, &hits, fan_units);
+            s.l2_rows(&self.snap, |l2, f| l2.positions_eq(col, v, f), &mut out);
+            s.l1_rows(&self.snap, |x| x[col] == *v, &mut out);
+            out
+        })))
     }
 
     /// Range query: visible rows with `col` in `[lo, hi]` bounds. The main
@@ -388,20 +252,7 @@ impl TableRead {
         lo: Bound<&Value>,
         hi: Bound<&Value>,
     ) -> Result<Vec<Vec<Value>>> {
-        self.range_projected(col, lo, hi, None)
-    }
-
-    /// [`range`](Self::range) with a projection pushed into materialization
-    /// (unprojected columns are `Null` placeholders).
-    pub fn range_projected(
-        &self,
-        col: usize,
-        lo: Bound<&Value>,
-        hi: Bound<&Value>,
-        proj: Option<&[usize]>,
-    ) -> Result<Vec<Vec<Value>>> {
         self.schema_col(col)?;
-        self.check_projection(proj)?;
         let in_range = |v: &Value| {
             !v.is_null()
                 && (match lo {
@@ -415,27 +266,17 @@ impl TableRead {
                     Bound::Excluded(b) => v < b,
                 })
         };
-        let hits = self.main.positions_range(col, lo, hi);
-        let mut out = self.materialize_main_hits(&hits, proj);
-        let arity = self.table.schema.arity();
-        if let Some((frozen, fence)) = &self.l2_frozen {
-            for pos in frozen.positions_range(col, lo, hi, *fence) {
-                if self.visible(frozen.begin(pos), frozen.end(pos)) {
-                    out.push(l2_row(frozen, pos, arity, proj));
-                }
-            }
-        }
-        for pos in self.l2.positions_range(col, lo, hi, self.l2_fence) {
-            if self.visible(self.l2.begin(pos), self.l2.end(pos)) {
-                out.push(l2_row(&self.l2, pos, arity, proj));
-            }
-        }
-        for (_, slot) in self.l1.iter() {
-            if in_range(&slot.values[col]) && self.visible(slot.begin(), slot.end()) {
-                out.push(slot_row(&slot.values, proj));
-            }
-        }
-        Ok(out)
+        Ok(concat(self.fan_out(|s, fan_units| {
+            let hits = s.main.positions_range(col, lo, hi);
+            let mut out = s.materialize_main_hits(&self.snap, &hits, fan_units);
+            s.l2_rows(
+                &self.snap,
+                |l2, f| l2.positions_range(col, lo, hi, f),
+                &mut out,
+            );
+            s.l1_rows(&self.snap, |x| in_range(&x[col]), &mut out);
+            out
+        })))
     }
 
     /// Columnar aggregation over one numeric column: `(count, sum)` of
@@ -458,31 +299,40 @@ impl TableRead {
         batch::group_aggregate(self, group_col, agg_col)
     }
 
-    /// The merged global sorted dictionary over all three stages (§3.1),
-    /// including values of rows not visible to this snapshot (a dictionary
-    /// property, as in the paper).
+    /// The merged global sorted dictionary over all three stages (§3.1) of
+    /// every shard, including values of rows not visible to this snapshot
+    /// (a dictionary property, as in the paper). The first shard's open L2
+    /// is the L2 side of the three-way merge; frozen and further shards'
+    /// L2 values fold into the L1 side.
     pub fn global_sorted_dict(&self, col: usize) -> Result<GlobalSortedDict> {
         self.schema_col(col)?;
-        // Main side: if the chain has several parts, merge their dictionary
-        // values into one sorted dictionary view first.
-        let main_dict = if self.main.parts().len() == 1 {
-            self.main.parts()[0].dict(col).clone()
-        } else {
-            let mut vals: Vec<Value> = Vec::new();
-            for p in self.main.parts() {
-                vals.extend(p.dict(col).iter());
+        // Main side: with several parts (over all shards), merge their
+        // dictionary values into one sorted dictionary view first.
+        let parts: Vec<_> = self.shards.iter().flat_map(|s| s.main.parts()).collect();
+        let main_dict = match parts.as_slice() {
+            [only] => only.dict(col).clone(),
+            parts => {
+                let vals = parts.iter().flat_map(|p| p.dict(col).iter()).collect();
+                hana_dict::SortedDict::from_values(vals)
             }
-            hana_dict::SortedDict::from_values(vals)
         };
-        let mut l1_values: Vec<Value> =
-            self.l1.iter().map(|(_, s)| s.values[col].clone()).collect();
-        // Frozen L2 values fold into the L1 side of the three-way merge.
-        if let Some((frozen, fence)) = &self.l2_frozen {
-            frozen.with_column(col, *fence, |dict, _| {
-                l1_values.extend(dict.values().iter().cloned());
+        let mut l1_values: Vec<Value> = Vec::new();
+        let l2_values = |l2: &L2Delta, fence: Pos, into: &mut Vec<Value>| {
+            l2.with_column(col, fence, |dict, _| {
+                into.extend(dict.values().iter().cloned())
             });
+        };
+        for (i, s) in self.shards.iter().enumerate() {
+            l1_values.extend(s.l1.iter().map(|(_, slot)| slot.values[col].clone()));
+            if let Some((frozen, fence)) = &s.l2_frozen {
+                l2_values(frozen, *fence, &mut l1_values);
+            }
+            if i > 0 {
+                l2_values(&s.l2, s.l2_fence, &mut l1_values);
+            }
         }
-        Ok(self.l2.with_column(col, self.l2_fence, |dict, _| {
+        let first = &self.shards[0];
+        Ok(first.l2.with_column(col, first.l2_fence, |dict, _| {
             GlobalSortedDict::build(&main_dict, dict, &l1_values)
         }))
     }
@@ -492,47 +342,175 @@ impl TableRead {
     #[doc(hidden)]
     pub fn debug_versions(&self, col: usize, v: &Value) -> Vec<(RowId, u64, u64, String, bool)> {
         let mut out = Vec::new();
-        for hit in self.main.positions_eq(col, v) {
-            let part = &self.main.parts()[hit.part];
-            let (b, e) = (part.begin(hit.pos), part.end(hit.pos));
-            out.push((
-                part.row_id(hit.pos),
-                b,
-                e,
-                format!("main[{}]", hit.part),
-                self.visible(b, e),
-            ));
-        }
-        if let Some((frozen, fence)) = &self.l2_frozen {
-            for pos in frozen.positions_eq(col, v, *fence) {
-                let (b, e) = (frozen.begin(pos), frozen.end(pos));
-                out.push((
-                    frozen.row_id(pos),
-                    b,
-                    e,
-                    "l2-frozen".into(),
-                    self.visible(b, e),
-                ));
+        for s in &self.shards {
+            let visible = |b, e| s.visible(&self.snap, b, e);
+            for hit in s.main.positions_eq(col, v) {
+                let part = &s.main.parts()[hit.part];
+                let (b, e) = (part.begin(hit.pos), part.end(hit.pos));
+                let stage = format!("main[{}]", hit.part);
+                out.push((part.row_id(hit.pos), b, e, stage, visible(b, e)));
             }
-        }
-        for pos in self.l2.positions_eq(col, v, self.l2_fence) {
-            let (b, e) = (self.l2.begin(pos), self.l2.end(pos));
-            out.push((self.l2.row_id(pos), b, e, "l2".into(), self.visible(b, e)));
-        }
-        for (p, slot) in self.l1.iter() {
-            if &slot.values[col] == v {
-                let (b, e) = (slot.begin(), slot.end());
-                out.push((slot.row_id, b, e, format!("l1@{p}"), self.visible(b, e)));
+            let l2s = s.l2_frozen.iter().map(|(l2, f)| (l2, *f, "l2-frozen"));
+            for (l2, fence, stage) in l2s.chain([(&s.l2, s.l2_fence, "l2")]) {
+                for pos in l2.positions_eq(col, v, fence) {
+                    let (b, e) = (l2.begin(pos), l2.end(pos));
+                    out.push((l2.row_id(pos), b, e, stage.into(), visible(b, e)));
+                }
+            }
+            for (p, slot) in s.l1.iter() {
+                if &slot.values[col] == v {
+                    let (b, e) = (slot.begin(), slot.end());
+                    out.push((slot.row_id, b, e, format!("l1@{p}"), visible(b, e)));
+                }
             }
         }
         out
     }
 
-    /// Rows of this view per stage `(L1, frozen+open L2, main)` —
-    /// diagnostics for the lifecycle benches.
+    /// Rows of this view per stage `(L1, frozen+open L2, main)`, summed over
+    /// shards — diagnostics for the lifecycle benches.
     pub fn stage_row_counts(&self) -> (usize, usize, usize) {
-        let l2 = self.l2_fence as usize + self.l2_frozen.as_ref().map_or(0, |(_, f)| *f as usize);
-        (self.l1.len(), l2, self.main.total_rows())
+        self.shards.iter().fold((0, 0, 0), |(l1, l2, main), s| {
+            let frozen = s.l2_frozen.as_ref().map_or(0, |(_, f)| *f as usize);
+            (
+                l1 + s.l1.len(),
+                l2 + s.l2_fence as usize + frozen,
+                main + s.main.total_rows(),
+            )
+        })
+    }
+}
+
+/// Per-shard results concatenated in shard order (a lone shard's moved).
+pub(crate) fn concat<T>(per_shard: Vec<Vec<T>>) -> Vec<T> {
+    let mut shards = per_shard.into_iter();
+    let mut out = shards.next().unwrap_or_default();
+    shards.for_each(|more| out.extend(more));
+    out
+}
+
+impl Shard {
+    pub(crate) fn visible(&self, snap: &Snapshot, begin: Timestamp, end: Timestamp) -> bool {
+        version_visible(&self.table.mgr, snap, begin, end)
+    }
+
+    /// Fan-out degree for `jobs` units of work: the configured
+    /// `scan_parallelism`, clamped by the governor (never more workers than
+    /// cores; down to `min_scan_parallelism` while the OLTP signal is hot).
+    pub(crate) fn workers(&self, jobs: usize) -> usize {
+        let requested = self.table.config.scan.scan_parallelism;
+        if jobs <= 1 || requested == 1 {
+            return 1;
+        }
+        self.table
+            .governor
+            .effective_parallelism(effective_workers(requested))
+            .min(jobs)
+    }
+
+    /// Resolve the visibility of main part `pi` under `snap` (see
+    /// [`PartVisibility::resolve`]) and count the cache outcome.
+    pub(crate) fn part_visibility(&self, snap: &Snapshot, pi: usize) -> PartVisibility {
+        let (vis, lookup) = PartVisibility::resolve(&self.table.mgr, snap, &self.main.parts()[pi]);
+        match lookup {
+            Lookup::Summary => {}
+            Lookup::Hit => {
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            Lookup::Miss => {
+                self.cache_misses.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        vis
+    }
+
+    fn count(&self, snap: &Snapshot) -> usize {
+        let parts = self.main.parts();
+        let mut n = 0usize;
+        for (pi, part) in parts.iter().enumerate() {
+            n += self.part_visibility(snap, pi).visible_rows(part.len());
+        }
+        let l2s = self.l2_frozen.iter().map(|(l2, f)| (l2, *f));
+        for (l2, fence) in l2s.chain([(&self.l2, self.l2_fence)]) {
+            n += (0..fence)
+                .filter(|&pos| self.visible(snap, l2.begin(pos), l2.end(pos)))
+                .count();
+        }
+        n + self
+            .l1
+            .iter()
+            .filter(|(_, slot)| self.visible(snap, slot.begin(), slot.end()))
+            .count()
+    }
+
+    /// Filter a main-store hit list through the visibility summary/bitmaps
+    /// and materialize the surviving rows, fanning large lists out over the
+    /// scan pool when `fan_units` (in-order reassembly keeps the output
+    /// deterministic).
+    fn materialize_main_hits(
+        &self,
+        snap: &Snapshot,
+        hits: &[PartHit],
+        fan_units: bool,
+    ) -> Vec<Vec<Value>> {
+        if hits.is_empty() {
+            return Vec::new();
+        }
+        let parts = self.main.parts();
+        let mut vis: Vec<Option<PartVisibility>> = Vec::with_capacity(parts.len());
+        vis.resize_with(parts.len(), || None);
+        for h in hits {
+            if vis[h.part].is_none() {
+                vis[h.part] = Some(self.part_visibility(snap, h.part));
+            }
+        }
+        let ranges = plan_ranges(hits.len());
+        let workers = match fan_units {
+            true => self.workers(ranges.len()),
+            false => 1,
+        };
+        let produced = map_indexed(ranges.len(), workers, |ri| {
+            let (start, end) = ranges[ri];
+            let mut rows = Vec::new();
+            for h in &hits[start..end] {
+                if vis[h.part]
+                    .as_ref()
+                    .expect("visibility resolved")
+                    .is_visible(h.pos)
+                {
+                    rows.push(self.main.row_at(*h));
+                }
+            }
+            rows
+        });
+        produced.into_iter().flatten().collect()
+    }
+
+    /// Append the visible rows at the positions `hits` yields for the frozen
+    /// L2, then for the open L2.
+    fn l2_rows(
+        &self,
+        snap: &Snapshot,
+        hits: impl Fn(&L2Delta, Pos) -> Vec<Pos>,
+        out: &mut Vec<Vec<Value>>,
+    ) {
+        let l2s = self.l2_frozen.iter().map(|(l2, f)| (l2, *f));
+        for (l2, fence) in l2s.chain([(&self.l2, self.l2_fence)]) {
+            for pos in hits(l2, fence) {
+                if self.visible(snap, l2.begin(pos), l2.end(pos)) {
+                    out.push(l2.row(pos));
+                }
+            }
+        }
+    }
+
+    /// Append the visible L1 rows whose values satisfy `keep`.
+    fn l1_rows(&self, snap: &Snapshot, keep: impl Fn(&[Value]) -> bool, out: &mut Vec<Vec<Value>>) {
+        for (_, slot) in self.l1.iter() {
+            if keep(&slot.values) && self.visible(snap, slot.begin(), slot.end()) {
+                out.push(slot.values.to_vec());
+            }
+        }
     }
 }
 

@@ -214,8 +214,6 @@ pub fn decode_config(d: &mut Decoder<'_>) -> Result<TableConfig> {
     let merge = hana_common::MergeConfig {
         column_parallelism: d.u64()? as usize,
         daemon_workers: d.u64()? as usize,
-        // Benchmark-only knob; never persisted, always off after recovery.
-        legacy_blocking_publication: false,
     };
     let scan = hana_common::ScanConfig {
         scan_parallelism: d.u64()? as usize,

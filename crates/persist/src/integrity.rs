@@ -35,11 +35,11 @@
 //! checksum dependency may be added. The classic check value pins the
 //! polynomial: `crc32c(b"123456789") == 0xE3069283`.
 //!
-//! A pre-envelope (legacy) artifact fails the magic check and reports
-//! [`EnvelopeError::NotEnvelope`]; readers fall back to the old format
-//! exactly once, so pre-checksum databases keep opening (the migration
-//! contract) while anything that is neither a valid envelope *nor* a valid
-//! legacy artifact surfaces as [`HanaError::Corruption`].
+//! A pre-envelope artifact fails the magic check and reports
+//! [`EnvelopeError::NotEnvelope`]. No reader falls back to an older format:
+//! anything that is not a valid envelope surfaces as
+//! [`HanaError::Corruption`], so a database written before the envelope
+//! fails closed instead of opening.
 
 use hana_common::HanaError;
 use parking_lot::Mutex;
@@ -208,7 +208,7 @@ pub fn seal(kind: ArtifactKind, salt: u64, payload: &[u8]) -> Vec<u8> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EnvelopeError {
     /// The bytes don't start with the envelope magic — a pre-checksum
-    /// (legacy) artifact, or garbage. Callers try the legacy format next.
+    /// artifact, or garbage.
     NotEnvelope,
     /// The bytes claim to be an envelope but fail validation (bad version,
     /// wrong kind, out-of-bounds length, or checksum mismatch).
@@ -272,8 +272,6 @@ pub struct IntegrityStats {
     pub pages_verified: u64,
     /// Page reads that failed checksum/format validation.
     pub pages_corrupt: u64,
-    /// Pages read through the pre-envelope legacy format.
-    pub pages_legacy: u64,
     /// Pages currently quarantined after a checksum failure (reads
     /// fast-fail until the page is rewritten).
     pub pages_quarantined: u64,
@@ -288,8 +286,6 @@ pub struct IntegrityStats {
     pub images_verified: u64,
     /// Table-image blobs that failed validation.
     pub images_corrupt: u64,
-    /// Table-image blobs read through the legacy (raw) format.
-    pub images_legacy: u64,
     /// Completed background scrub passes over the page store.
     pub scrub_passes: u64,
     /// Pages re-verified by the scrub daemon.
@@ -314,13 +310,11 @@ impl IntegrityStats {
 pub struct IntegrityState {
     pages_verified: AtomicU64,
     pages_corrupt: AtomicU64,
-    pages_legacy: AtomicU64,
     log_records_verified: AtomicU64,
     log_corruptions: AtomicU64,
     manifests_corrupt: AtomicU64,
     images_verified: AtomicU64,
     images_corrupt: AtomicU64,
-    images_legacy: AtomicU64,
     scrub_passes: AtomicU64,
     scrub_pages_scanned: AtomicU64,
     scrub_corruptions: AtomicU64,
@@ -336,11 +330,6 @@ impl IntegrityState {
     /// A page read verified its envelope.
     pub fn note_page_verified(&self) {
         self.pages_verified.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A page read fell back to the legacy format and verified there.
-    pub fn note_page_legacy(&self) {
-        self.pages_legacy.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A page failed validation: count it and quarantine the page so later
@@ -380,11 +369,6 @@ impl IntegrityState {
         self.images_verified.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A table-image blob was read through the legacy raw format.
-    pub fn note_image_legacy(&self) {
-        self.images_legacy.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A table-image blob failed validation.
     pub fn note_image_corrupt(&self) {
         self.images_corrupt.fetch_add(1, Ordering::Relaxed);
@@ -406,14 +390,12 @@ impl IntegrityState {
         IntegrityStats {
             pages_verified: self.pages_verified.load(Ordering::Relaxed),
             pages_corrupt: self.pages_corrupt.load(Ordering::Relaxed),
-            pages_legacy: self.pages_legacy.load(Ordering::Relaxed),
             pages_quarantined: self.quarantined.lock().len() as u64,
             log_records_verified: self.log_records_verified.load(Ordering::Relaxed),
             log_corruptions: self.log_corruptions.load(Ordering::Relaxed),
             manifests_corrupt: self.manifests_corrupt.load(Ordering::Relaxed),
             images_verified: self.images_verified.load(Ordering::Relaxed),
             images_corrupt: self.images_corrupt.load(Ordering::Relaxed),
-            images_legacy: self.images_legacy.load(Ordering::Relaxed),
             scrub_passes: self.scrub_passes.load(Ordering::Relaxed),
             scrub_pages_scanned: self.scrub_pages_scanned.load(Ordering::Relaxed),
             scrub_corruptions: self.scrub_corruptions.load(Ordering::Relaxed),

@@ -64,6 +64,6 @@ pub use integrity::{
     IntegrityStats, ENVELOPE_HEADER, ENVELOPE_MAGIC, ENVELOPE_VERSION,
 };
 pub use log::{LogRecord, LogTail, RedoLog, NO_EPOCH};
-pub use page::{PageFormat, PageId, PageStore, DEFAULT_PAGE_SIZE};
+pub use page::{PageId, PageStore, DEFAULT_PAGE_SIZE};
 pub use store::{PageAccounting, Persistence, RecoveredState, ScrubTick};
 pub use vfile::VirtualFile;

@@ -45,7 +45,7 @@
 //! drops writes on most kernels, and appending after a partial frame would
 //! bury every later record behind garbage.
 
-use crate::codec::{crc32, Decoder, Encoder};
+use crate::codec::{Decoder, Encoder};
 use crate::fault::{torn_error, FaultInjector, FaultOutcome, IoOp};
 use crate::image::{decode_config, decode_schema, encode_config, encode_schema};
 use crate::integrity::{envelope_crc, ArtifactKind, IntegrityState};
@@ -58,16 +58,11 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Magic of pre-checksum (legacy) log files: frames carry a plain
-/// CRC32 over the payload only. Still readable and appendable — the
-/// migration path for old databases.
-const LOG_MAGIC_V1: [u8; 8] = *b"HANALOG1";
-
-/// Magic of current log files: each frame's CRC32C is salted with the log
-/// epoch and covers the frame length (the [`crate::integrity`] envelope
-/// checksum), so a record from another epoch or with a resized payload can
-/// never verify. Rotation always writes this format.
-const LOG_MAGIC_V2: [u8; 8] = *b"HANALOG2";
+/// Magic of log files: each frame's CRC32C is salted with the log epoch and
+/// covers the frame length (the [`crate::integrity`] envelope checksum), so
+/// a record from another epoch or with a resized payload can never verify.
+/// Pre-checksum `HANALOG1` files fail the magic check and are not read.
+const LOG_MAGIC: [u8; 8] = *b"HANALOG2";
 
 /// Header bytes: magic + epoch (u64 LE).
 const LOG_HEADER: u64 = 16;
@@ -287,7 +282,7 @@ impl LogRecord {
 
 fn header_bytes(epoch: u64) -> [u8; LOG_HEADER as usize] {
     let mut h = [0u8; LOG_HEADER as usize];
-    h[..8].copy_from_slice(&LOG_MAGIC_V2);
+    h[..8].copy_from_slice(&LOG_MAGIC);
     h[8..].copy_from_slice(&epoch.to_le_bytes());
     h
 }
@@ -315,21 +310,16 @@ pub enum LogTail {
     },
 }
 
-/// The per-frame checksum. Legacy files use a plain CRC32 of the payload;
-/// current files use the envelope CRC32C salted with the log epoch (also
-/// covering the frame length).
-fn frame_crc(legacy: bool, epoch: u64, payload: &[u8]) -> u32 {
-    if legacy {
-        crc32(payload)
-    } else {
-        envelope_crc(ArtifactKind::LogRecord, epoch, payload)
-    }
+/// The per-frame checksum: the envelope CRC32C salted with the log epoch
+/// (also covering the frame length).
+fn frame_crc(epoch: u64, payload: &[u8]) -> u32 {
+    envelope_crc(ArtifactKind::LogRecord, epoch, payload)
 }
 
 /// Parse the record region of a log file: the intact records, the byte
 /// length of the valid prefix (relative to the region start), and how the
 /// region ends — distinguishing a clean torn tail from mid-log corruption.
-fn scan_records(data: &[u8], epoch: u64, legacy: bool) -> (Vec<LogRecord>, usize, LogTail) {
+fn scan_records(data: &[u8], epoch: u64) -> (Vec<LogRecord>, usize, LogTail) {
     let mut out = Vec::new();
     let mut pos = 0usize;
     while pos + 8 <= data.len() {
@@ -340,7 +330,7 @@ fn scan_records(data: &[u8], epoch: u64, legacy: bool) -> (Vec<LogRecord>, usize
             return (out, pos, LogTail::Torn); // incomplete frame
         }
         let payload = &data[pos + 8..pos + 8 + len];
-        if frame_crc(legacy, epoch, payload) != crc {
+        if frame_crc(epoch, payload) != crc {
             let reason = format!("checksum mismatch in complete record frame {}", out.len());
             return (
                 out,
@@ -394,10 +384,6 @@ struct LogInner {
     /// [`RedoLog::flush`] — the fault injector sees every byte.
     buf: Vec<u8>,
     epoch: u64,
-    /// True for a pre-checksum (`HANALOG1`) file: appends keep using the
-    /// legacy frame CRC so the file stays self-consistent; the next
-    /// rotation upgrades it to the current format.
-    legacy: bool,
     /// Set after a genuine partial write / failed fsync: the on-disk suffix
     /// is unknowable, so appends and flushes fail until the next rotation.
     wedged: Option<String>,
@@ -442,31 +428,28 @@ impl RedoLog {
             .truncate(false)
             .open(path)?;
         let len = file.metadata()?.len();
-        let (epoch, legacy) = if len < LOG_HEADER {
+        let epoch = if len < LOG_HEADER {
             // New (or torn-at-birth) file: stamp epoch 0. Durable with the
             // first flush; a crash before that reads back as an empty
             // epoch-0 log either way.
             file.set_len(0)?;
             file.write_all(&header_bytes(0))?;
-            (0, false)
+            0
         } else {
             let mut hdr = [0u8; LOG_HEADER as usize];
             file.seek(SeekFrom::Start(0))?;
             file.read_exact(&mut hdr)?;
-            let legacy = if hdr[..8] == LOG_MAGIC_V1 {
-                true
-            } else if hdr[..8] == LOG_MAGIC_V2 {
-                false
-            } else {
-                // A sized file without a log magic was either damaged or
-                // never a log; both are fail-closed (truncating it could
-                // silently discard committed records).
+            if hdr[..8] != LOG_MAGIC {
+                // A sized file without the log magic was damaged, written
+                // before the checksummed format, or never a log; all are
+                // fail-closed (truncating it could silently discard
+                // committed records).
                 integrity.note_log_corruption();
                 return Err(HanaError::Corruption(format!(
                     "{} is not a REDO log (bad magic)",
                     path.display()
                 )));
-            };
+            }
             let epoch = u64::from_le_bytes([
                 hdr[8], hdr[9], hdr[10], hdr[11], hdr[12], hdr[13], hdr[14], hdr[15],
             ]);
@@ -474,7 +457,7 @@ impl RedoLog {
             // corruption outright.
             let mut data = Vec::with_capacity((len - LOG_HEADER) as usize);
             file.read_to_end(&mut data)?;
-            let (records, valid, tail) = scan_records(&data, epoch, legacy);
+            let (records, valid, tail) = scan_records(&data, epoch);
             if let LogTail::Corrupt { offset, reason } = tail {
                 integrity.note_log_corruption();
                 return Err(corrupt_log_error(path, offset, &reason));
@@ -484,7 +467,7 @@ impl RedoLog {
                 file.set_len(LOG_HEADER + valid as u64)?;
             }
             file.seek(SeekFrom::End(0))?;
-            (epoch, legacy)
+            epoch
         };
         Ok(RedoLog {
             path: path.to_path_buf(),
@@ -492,7 +475,6 @@ impl RedoLog {
                 file,
                 buf: Vec::new(),
                 epoch,
-                legacy,
                 wedged: None,
             }),
             injector,
@@ -549,7 +531,7 @@ impl RedoLog {
         let mut e = Encoder::new();
         rec.encode(&mut e);
         let payload = e.into_bytes();
-        let crc = frame_crc(inner.legacy, inner.epoch, &payload);
+        let crc = frame_crc(inner.epoch, &payload);
         let mut frame = Vec::with_capacity(8 + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc.to_le_bytes());
@@ -640,8 +622,7 @@ impl RedoLog {
     /// path hold a half-truncated log. Buffered-but-unflushed records are
     /// discarded (their data is covered by the savepoint images; their
     /// transactions never got a durable outcome). A successful rotation
-    /// also clears the wedged state — and always writes the current
-    /// (checksummed-envelope) format, upgrading a legacy file in place.
+    /// also clears the wedged state.
     pub fn rotate(&self, epoch: u64) -> Result<()> {
         let mut inner = self.inner.lock();
         if let FaultOutcome::Torn { .. } = self.injector.check(IoOp::LogRotate)? {
@@ -657,7 +638,6 @@ impl RedoLog {
         inner.file = file;
         inner.buf.clear();
         inner.epoch = epoch;
-        inner.legacy = false;
         inner.wedged = None;
         Ok(())
     }
@@ -690,17 +670,13 @@ impl RedoLog {
         if (data.len() as u64) < LOG_HEADER {
             return Ok((0, Vec::new()));
         }
-        let legacy = if data[..8] == LOG_MAGIC_V1 {
-            true
-        } else if data[..8] == LOG_MAGIC_V2 {
-            false
-        } else {
+        if data[..8] != LOG_MAGIC {
             return Ok((NO_EPOCH, Vec::new()));
-        };
+        }
         let epoch = u64::from_le_bytes([
             data[8], data[9], data[10], data[11], data[12], data[13], data[14], data[15],
         ]);
-        let (records, _, tail) = scan_records(&data[LOG_HEADER as usize..], epoch, legacy);
+        let (records, _, tail) = scan_records(&data[LOG_HEADER as usize..], epoch);
         if let LogTail::Corrupt { offset, reason } = tail {
             return Err(corrupt_log_error(path, offset, &reason));
         }
@@ -906,13 +882,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_log_reads_appends_and_upgrades_on_rotation() {
-        // A pre-checksum (HANALOG1) file keeps working: its records read
-        // back, new appends stay legacy-framed (self-consistent file), and
-        // the next rotation upgrades the format.
+    fn pre_checksum_log_is_refused() {
+        // A `HANALOG1` file (frames with a plain CRC32 of the payload) is not
+        // read: the open fails closed, and recovery never replays it.
         let dir = tempdir().unwrap();
         let path = dir.path().join("redo.log");
-        // Hand-write a legacy log: HANALOG1 header + legacy-framed record.
         let mut e = Encoder::new();
         sample_records()[3].encode(&mut e);
         let payload = e.into_bytes();
@@ -920,30 +894,17 @@ mod tests {
         raw.extend_from_slice(b"HANALOG1");
         raw.extend_from_slice(&5u64.to_le_bytes()); // epoch 5
         raw.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        raw.extend_from_slice(&crc32(&payload).to_le_bytes());
+        raw.extend_from_slice(&crate::crc32(&payload).to_le_bytes());
         raw.extend_from_slice(&payload);
         std::fs::write(&path, &raw).unwrap();
 
+        assert!(matches!(
+            RedoLog::open(&path),
+            Err(HanaError::Corruption(_))
+        ));
         let (epoch, recs) = RedoLog::read_all_with_epoch(&path).unwrap();
-        assert_eq!(epoch, 5);
-        assert_eq!(recs, vec![sample_records()[3].clone()]);
-
-        let log = RedoLog::open(&path).unwrap();
-        assert_eq!(log.epoch(), 5);
-        log.append(&sample_records()[4]).unwrap();
-        log.flush().unwrap();
-        let (_, recs) = RedoLog::read_all_with_epoch(&path).unwrap();
-        assert_eq!(recs.len(), 2, "legacy append stays readable");
-
-        log.rotate(6).unwrap();
-        log.append(&sample_records()[3]).unwrap();
-        log.flush().unwrap();
-        drop(log);
-        let head = std::fs::read(&path).unwrap();
-        assert_eq!(&head[..8], b"HANALOG2", "rotation upgrades the format");
-        let (epoch, recs) = RedoLog::read_all_with_epoch(&path).unwrap();
-        assert_eq!(epoch, 6);
-        assert_eq!(recs.len(), 1);
+        assert_eq!((epoch, recs.len()), (NO_EPOCH, 0));
+        assert_eq!(std::fs::read(&path).unwrap(), raw, "the file is untouched");
     }
 
     #[test]

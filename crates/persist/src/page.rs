@@ -8,11 +8,12 @@
 //! Every page is wrapped in the checksummed [`integrity`](crate::integrity)
 //! envelope with the **page id as salt**, so a read verifies not only that
 //! the bytes are undamaged (CRC32C) but that they belong to *this* page — a
-//! stale or misdirected read of some other valid page fails too. Pages
-//! written by pre-envelope builds (`[len u32][crc32 u32][payload]`) are
-//! still readable through a legacy fallback keyed off the envelope's magic
-//! byte. A page that fails both formats is **quarantined**: later reads
-//! fast-fail with [`HanaError::Corruption`] until the page is rewritten.
+//! stale or misdirected read of some other valid page fails too. A page
+//! that fails verification — pre-envelope formats included, which are not
+//! read — is **quarantined**: later reads fast-fail with
+//! [`HanaError::Corruption`] until the page is rewritten. An all-zero page
+//! is *unwritten* (no write reached it; the file grew past it), not
+//! damaged: it reads as an empty payload.
 //!
 //! Every physical operation consults the store's [`FaultInjector`] first, so
 //! the crash-everywhere harness can fail or tear any page write, read, or
@@ -22,7 +23,6 @@
 //! which is how reopening a database reclaims pages orphaned by a crashed
 //! savepoint.
 
-use crate::codec::crc32;
 use crate::fault::{torn_error, FaultInjector, FaultOutcome, IoOp};
 use crate::integrity::{self, ArtifactKind, EnvelopeError, IntegrityState, ENVELOPE_HEADER};
 use hana_common::{HanaError, Result};
@@ -37,24 +37,9 @@ use std::sync::Arc;
 /// Default page size in bytes.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
 
-/// Pre-envelope per-page header: payload length (u32) + CRC32 (u32). Only
-/// consulted on the legacy read fallback.
-const LEGACY_PAGE_HEADER: usize = 8;
-
 /// Identifier of one page within the store's data file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
-
-/// Which on-disk format a page read verified against. Callers that persist
-/// format-sensitive payloads in a page (the savepoint manifest) use this to
-/// pick the matching payload parser.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageFormat {
-    /// The current checksummed envelope (CRC32C, page-id salt).
-    Envelope,
-    /// The pre-envelope `[len u32][crc32 u32][payload]` format.
-    Legacy,
-}
 
 #[derive(Default)]
 struct FreeList {
@@ -243,17 +228,11 @@ impl PageStore {
         }
     }
 
-    /// Read and verify the payload of `page`. Verification tries the
-    /// checksummed envelope first (salted with the page id), then the
-    /// legacy pre-envelope format; a page valid under neither is
-    /// quarantined and reported as [`HanaError::Corruption`].
+    /// Read and verify the payload of `page` against its checksummed
+    /// envelope (salted with the page id). An all-zero page was never
+    /// written and reads as an empty payload; any other page that does not
+    /// verify is quarantined and reported as [`HanaError::Corruption`].
     pub fn read_page(&self, page: PageId) -> Result<Vec<u8>> {
-        Ok(self.read_page_with_format(page)?.0)
-    }
-
-    /// [`read_page`](Self::read_page), additionally reporting which format
-    /// the page verified against.
-    pub fn read_page_with_format(&self, page: PageId) -> Result<(Vec<u8>, PageFormat)> {
         if self.integrity.is_quarantined(page.0) {
             return Err(HanaError::Corruption(format!(
                 "corrupt page {}: quarantined after an earlier checksum failure \
@@ -281,33 +260,17 @@ impl PageStore {
             let byte = (bit as usize / 8) % buf.len();
             buf[byte] ^= 1 << (bit % 8);
         }
-        match integrity::open_envelope(ArtifactKind::Page, page.0, &buf) {
+        if buf.iter().all(|&b| b == 0) {
+            return Ok(Vec::new());
+        }
+        let detail = match integrity::open_envelope(ArtifactKind::Page, page.0, &buf) {
             Ok(payload) => {
                 self.integrity.note_page_verified();
-                Ok((payload.to_vec(), PageFormat::Envelope))
+                return Ok(payload.to_vec());
             }
-            Err(EnvelopeError::NotEnvelope) => self.read_legacy(page, &buf),
-            Err(EnvelopeError::Corrupt(detail)) => self.fail_corrupt(page, &detail),
-        }
-    }
-
-    /// Legacy fallback: `[len u32][crc32 u32][payload]` as written by
-    /// pre-envelope builds (the migration path for old databases).
-    fn read_legacy(&self, page: PageId, buf: &[u8]) -> Result<(Vec<u8>, PageFormat)> {
-        let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-        let stored_crc = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-        if len > self.page_size - LEGACY_PAGE_HEADER {
-            return self.fail_corrupt(page, "bad length (neither envelope nor legacy format)");
-        }
-        let payload = &buf[LEGACY_PAGE_HEADER..LEGACY_PAGE_HEADER + len];
-        if crc32(payload) != stored_crc {
-            return self.fail_corrupt(page, "checksum mismatch (legacy format)");
-        }
-        self.integrity.note_page_legacy();
-        Ok((payload.to_vec(), PageFormat::Legacy))
-    }
-
-    fn fail_corrupt(&self, page: PageId, detail: &str) -> Result<(Vec<u8>, PageFormat)> {
+            Err(EnvelopeError::NotEnvelope) => "no page envelope".to_string(),
+            Err(EnvelopeError::Corrupt(detail)) => detail,
+        };
         self.integrity.note_page_corrupt(page.0);
         Err(HanaError::Corruption(format!(
             "corrupt page {}: {detail}",
@@ -495,22 +458,29 @@ mod tests {
     }
 
     #[test]
-    fn legacy_format_page_reads_through_fallback() {
+    fn pre_envelope_page_is_corruption() {
         let dir = tempdir().unwrap();
         let path = dir.path().join("data.pages");
         let page_size = 256usize;
-        // Hand-write a legacy-format page at index 2.
+        // A pre-envelope page at index 2: `[len u32][crc32 u32][payload]`.
         let payload = b"written by a pre-envelope build";
         let mut raw = vec![0u8; page_size * 3];
         let off = page_size * 2;
         raw[off..off + 4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        raw[off + 4..off + 8].copy_from_slice(&crc32(payload).to_le_bytes());
+        raw[off + 4..off + 8].copy_from_slice(&crate::crc32(payload).to_le_bytes());
         raw[off + 8..off + 8 + payload.len()].copy_from_slice(payload);
         std::fs::write(&path, &raw).unwrap();
         let s = PageStore::open(&path, page_size).unwrap();
-        assert_eq!(s.read_page(PageId(2)).unwrap(), payload);
-        assert_eq!(s.integrity().stats().pages_legacy, 1);
-        assert_eq!(s.integrity().stats().pages_verified, 0);
+        let err = s.read_page(PageId(2)).unwrap_err();
+        assert!(matches!(err, HanaError::Corruption(_)), "{err}");
+        assert_eq!(s.integrity().stats().pages_corrupt, 1);
+        // Page 1 was never written (the file grew past it): unwritten, not
+        // corrupt, however often it is read.
+        for _ in 0..3 {
+            assert_eq!(s.read_page(PageId(1)).unwrap(), Vec::<u8>::new());
+        }
+        assert_eq!(s.integrity().stats().pages_corrupt, 1);
+        assert!(!s.integrity().is_quarantined(1));
     }
 
     #[test]

@@ -38,13 +38,13 @@
 //! clear error while reads keep working — until
 //! [`Persistence::clear_degraded`] is called.
 
-use crate::codec::{crc32, Decoder, Encoder};
+use crate::codec::{Decoder, Encoder};
 use crate::fault::{FailureSite, FaultInjector, Health, HealthStats};
 use crate::group::{GroupCommit, LogStats};
 use crate::image::TableImage;
-use crate::integrity::{self, ArtifactKind, EnvelopeError, IntegrityState, IntegrityStats};
+use crate::integrity::{self, ArtifactKind, IntegrityState, IntegrityStats};
 use crate::log::{LogRecord, RedoLog, NO_EPOCH};
-use crate::page::{PageFormat, PageId, PageStore, DEFAULT_PAGE_SIZE};
+use crate::page::{PageId, PageStore, DEFAULT_PAGE_SIZE};
 use crate::vfile::VirtualFile;
 use hana_common::{CommitConfig, GovernorConfig, HanaError, Result, Timestamp};
 use parking_lot::Mutex;
@@ -80,20 +80,13 @@ struct Manifest {
     governor_config: GovernorConfig,
 }
 
-/// Where a superblock lists its images: in the file directory, or inline
-/// (manifests written before the directory existed).
-enum Listing {
-    Inline(Vec<VirtualFile>),
-    Directory(VirtualFile),
-}
-
-/// Sentinel in the superblock's file-count position announcing a file
-/// directory instead of an inline list (no inline manifest ever listed
-/// `u32::MAX` files).
+/// Marker in the superblock ahead of the file-directory descriptor. A
+/// superblock without it (one that listed its images inline, before the
+/// directory existed) does not parse, so such a database fails closed.
 const DIRECTORY: u32 = u32::MAX;
 
 /// The virtual files of one savepoint: the table images and the directory
-/// listing them (empty for savepoints that listed them inline).
+/// listing them (both empty before the first savepoint).
 #[derive(Default)]
 struct Live {
     version: u64,
@@ -123,7 +116,8 @@ pub struct PageAccounting {
 /// Result of one background-scrub batch (see [`Persistence::scrub_tick`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScrubTick {
-    /// Pages whose checksums were verified (or legacy-verified) this batch.
+    /// Pages whose checksums were verified (or that read as unwritten) this
+    /// batch.
     pub scanned: u64,
     /// Newly detected corrupt artifacts (pages quarantined / blobs failed).
     pub corrupt: u64,
@@ -289,7 +283,7 @@ impl Persistence {
     }
 
     /// Page ids of the live savepoint's file directory, in file order
-    /// (empty for a savepoint that listed its images inline).
+    /// (empty before the first savepoint).
     pub fn directory_page_ids(&self) -> Vec<u64> {
         self.state
             .lock()
@@ -346,13 +340,7 @@ impl Persistence {
             cursor.blob_rr = cursor.blob_rr.wrapping_add(1);
             let intact = match files[i].read(&self.pages) {
                 Ok(blob) => {
-                    match integrity::open_envelope(ArtifactKind::TableImage, version, &blob) {
-                        Ok(_) => true,
-                        // A legacy (pre-checksum) blob has no envelope to
-                        // check; its pages were still verified above.
-                        Err(EnvelopeError::NotEnvelope) => true,
-                        Err(EnvelopeError::Corrupt(_)) => false,
-                    }
+                    integrity::open_envelope(ArtifactKind::TableImage, version, &blob).is_ok()
                 }
                 Err(HanaError::Corruption(_)) => false,
                 Err(_) => true,
@@ -711,7 +699,8 @@ enum Slot {
     Corrupt,
 }
 
-fn parse_manifest(payload: &[u8]) -> Option<(Manifest, Listing)> {
+/// The manifest and its file-directory descriptor.
+fn parse_manifest(payload: &[u8]) -> Option<(Manifest, VirtualFile)> {
     let mut d = Decoder::new(payload);
     let manifest = Manifest {
         version: d.u64().ok()?,
@@ -719,20 +708,10 @@ fn parse_manifest(payload: &[u8]) -> Option<(Manifest, Listing)> {
         commit_config: decode_commit_config(&mut d).ok()?,
         governor_config: decode_governor_config(&mut d).ok()?,
     };
-    let listing = match d.u32().ok()? {
-        DIRECTORY => Listing::Directory(VirtualFile::decode(&mut d).ok()?),
-        n => Listing::Inline(decode_files(&mut d, n).ok()?),
-    };
-    Some((manifest, listing))
-}
-
-/// `n` virtual-file descriptors.
-fn decode_files(d: &mut Decoder<'_>, n: u32) -> Result<Vec<VirtualFile>> {
-    let mut files = Vec::with_capacity((n as usize).min(d.remaining()));
-    for _ in 0..n {
-        files.push(VirtualFile::decode(d)?);
+    if d.u32().ok()? != DIRECTORY {
+        return None;
     }
-    Ok(files)
+    Some((manifest, VirtualFile::decode(&mut d).ok()?))
 }
 
 /// Read and verify a savepoint's file directory: every page checksum, the
@@ -741,8 +720,12 @@ fn read_directory(pages: &PageStore, dir: &VirtualFile, version: u64) -> Option<
     let blob = dir.read(pages).ok()?;
     let payload = integrity::open_envelope(ArtifactKind::Manifest, version, &blob).ok()?;
     let mut d = Decoder::new(payload);
-    let n = d.u32().ok()?;
-    decode_files(&mut d, n).ok()
+    let n = d.u32().ok()? as usize;
+    let mut files = Vec::with_capacity(n.min(d.remaining()));
+    for _ in 0..n {
+        files.push(VirtualFile::decode(&mut d).ok()?);
+    }
+    Some(files)
 }
 
 /// Read one superblock slot end-to-end, distinguishing *absent* (never a
@@ -750,7 +733,9 @@ fn read_directory(pages: &PageStore, dir: &VirtualFile, version: u64) -> Option<
 /// the fail-closed rule and the fallback both hinge on.
 fn load_manifest_slot(pages: &PageStore, slot: u64) -> Slot {
     let integrity = pages.integrity();
-    let (payload, format) = match pages.read_page_with_format(PageId(slot)) {
+    let payload = match pages.read_page(PageId(slot)) {
+        // An all-zero page: the slot was never written.
+        Ok(p) if p.is_empty() => return Slot::Absent,
         Ok(p) => p,
         Err(HanaError::Corruption(_)) => {
             integrity.note_manifest_corrupt();
@@ -759,57 +744,22 @@ fn load_manifest_slot(pages: &PageStore, slot: u64) -> Slot {
         // Short file / transient I/O: the slot was never written.
         Err(_) => return Slot::Absent,
     };
-    let (manifest, listing) = match format {
-        // A verified envelope page holds the manifest bytes directly (the
-        // slot is the page id, so the page checksum already binds them).
-        PageFormat::Envelope => match parse_manifest(&payload) {
-            Some(m) => m,
-            None => {
-                // Verified bytes that don't parse: the damage predates the
-                // checksum, i.e. the writer's bytes were already wrong.
-                integrity.note_manifest_corrupt();
-                return Slot::Corrupt;
-            }
-        },
-        // A legacy page wraps the manifest in the pre-envelope
-        // `[crc32][payload]` framing. That format cannot distinguish rot
-        // from a tear, so any failure stays Absent — exactly the
-        // pre-checksum behaviour.
-        PageFormat::Legacy => {
-            let parsed = (|| {
-                let mut d = Decoder::new(&payload);
-                let stored_crc = d.u32().ok()?;
-                let inner = d.bytes().ok()?;
-                if crc32(inner) != stored_crc {
-                    return None;
-                }
-                parse_manifest(inner)
-            })();
-            match parsed {
-                Some(m) => m,
-                None => return Slot::Absent,
-            }
-        }
+    // A verified page holds the manifest bytes directly (the slot is the
+    // page id, so the page checksum already binds them). Verified bytes
+    // that don't parse — or a directory that doesn't verify — mean the
+    // writer's bytes were already wrong, or predate the directory.
+    let parsed = parse_manifest(&payload).and_then(|(manifest, directory)| {
+        let images = read_directory(pages, &directory, manifest.version)?;
+        Some((manifest, directory, images))
+    });
+    let Some((manifest, directory, files)) = parsed else {
+        integrity.note_manifest_corrupt();
+        return Slot::Corrupt;
     };
-    let live = match listing {
-        Listing::Inline(images) => Live {
-            version: manifest.version,
-            directory: VirtualFile::default(),
-            images,
-        },
-        Listing::Directory(directory) => {
-            match read_directory(pages, &directory, manifest.version) {
-                Some(images) => Live {
-                    version: manifest.version,
-                    directory,
-                    images,
-                },
-                None => {
-                    integrity.note_manifest_corrupt();
-                    return Slot::Corrupt;
-                }
-            }
-        }
+    let live = Live {
+        version: manifest.version,
+        directory,
+        images: files,
     };
     // A manifest is only as good as the images it points at: the savepoint
     // is recoverable iff every blob verifies and decodes.
@@ -819,35 +769,19 @@ fn load_manifest_slot(pages: &PageStore, slot: u64) -> Slot {
             Ok(b) => b,
             Err(_) => return Slot::Corrupt,
         };
-        let img = match integrity::open_envelope(ArtifactKind::TableImage, manifest.version, &blob)
-        {
-            Ok(payload) => match TableImage::decode(&mut Decoder::new(payload)) {
-                Ok(img) => {
-                    integrity.note_image_verified();
-                    img
-                }
-                Err(_) => {
-                    integrity.note_image_corrupt();
-                    return Slot::Corrupt;
-                }
-            },
-            // Legacy raw blob from a pre-checksum savepoint.
-            Err(EnvelopeError::NotEnvelope) => match TableImage::decode(&mut Decoder::new(&blob)) {
-                Ok(img) => {
-                    integrity.note_image_legacy();
-                    img
-                }
-                Err(_) => {
-                    integrity.note_image_corrupt();
-                    return Slot::Corrupt;
-                }
-            },
-            Err(EnvelopeError::Corrupt(_)) => {
+        let img = integrity::open_envelope(ArtifactKind::TableImage, manifest.version, &blob)
+            .ok()
+            .and_then(|payload| TableImage::decode(&mut Decoder::new(payload)).ok());
+        match img {
+            Some(img) => {
+                integrity.note_image_verified();
+                images.push(img);
+            }
+            None => {
                 integrity.note_image_corrupt();
                 return Slot::Corrupt;
             }
-        };
-        images.push(img);
+        }
     }
     Slot::Valid(Box::new(LoadedManifest {
         manifest,
@@ -1360,13 +1294,14 @@ mod tests {
     }
 
     #[test]
-    fn inline_listing_from_before_the_directory_still_opens() {
+    fn inline_listing_from_before_the_directory_fails_closed() {
         let dir = tempdir().unwrap();
         let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
         let mut e = Encoder::new();
         image("t", 3).encode(&mut e);
         let blob = integrity::seal(ArtifactKind::TableImage, 1, &e.into_bytes());
         let file = VirtualFile::write(p.pages(), &blob).unwrap();
+        // A savepoint-v1 superblock listing its one image inline.
         let mut m = Encoder::new();
         m.u64(1);
         m.u64(4);
@@ -1376,16 +1311,35 @@ mod tests {
         file.encode(&mut m);
         p.pages().write_page(PageId(1), &m.into_bytes()).unwrap();
         p.pages().sync().unwrap();
+        p.log().rotate(1).unwrap();
         drop(p);
-        let rec = Persistence::recover_with_page_size(dir.path(), 256).unwrap();
-        assert_eq!(rec.savepoint_version, 1);
-        assert_eq!(rec.images[0].l1_rows.len(), 3);
+        let refused = |r: Result<()>| matches!(r, Err(HanaError::Corruption(_)));
+        let recovered = Persistence::recover_with_page_size(dir.path(), 256);
+        assert!(refused(recovered.map(|_| ())));
+        let opened = Persistence::open_with_page_size(dir.path(), 256);
+        assert!(refused(opened.map(|_| ())));
+    }
+
+    /// The superblock slot the first savepoint leaves unwritten reads as
+    /// zeros: unwritten, not corrupt. The scrub passes over it without
+    /// finding damage, and a reopen counts no corrupt manifest.
+    #[test]
+    fn unwritten_superblock_slot_is_not_corruption() {
+        let dir = tempdir().unwrap();
         let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
-        assert!(p.directory_page_ids().is_empty());
-        assert_eq!(
-            p.live_page_ids(),
-            file.pages.iter().map(|p| p.0).collect::<Vec<_>>()
-        );
+        let (cc, gc) = (CommitConfig::default(), GovernorConfig::default());
+        assert_eq!(p.savepoint(5, &cc, &gc, &[image("t", 50)]).unwrap(), 1);
+        let mut passes = 0;
+        while passes < 3 {
+            passes += p.scrub_tick(3).completed_pass as usize;
+        }
+        let stats = p.integrity_stats();
+        assert_eq!(stats.scrub_corruptions, 0, "{stats:?}");
+        assert!(stats.scrub_pages_scanned > 6, "{stats:?}");
+        assert!(!p.health_stats().read_only);
+        drop(p);
+        let p = Persistence::open_with_page_size(dir.path(), 256).unwrap();
+        assert_eq!(p.integrity_stats().manifests_corrupt, 0);
     }
 
     #[test]

@@ -9,9 +9,9 @@ use crate::codec::{Decoder, Encoder};
 use crate::page::{PageId, PageStore};
 use hana_common::{HanaError, Result};
 
-/// Count sentinel marking the delta-varint page-list encoding. A manifest
-/// written before it carries an explicit `u32` page count here, and no
-/// real file ever has `u32::MAX` pages, so decode disambiguates on sight.
+/// Marker of the delta-varint page-list encoding. A descriptor without it
+/// (the explicit `u32` count + `u64` ids list that came before) is
+/// rejected.
 const DELTA_LIST: u32 = u32::MAX;
 
 fn put_varint(e: &mut Encoder, mut v: u64) {
@@ -120,33 +120,27 @@ impl VirtualFile {
         }
     }
 
-    /// Decode a page list — the delta-varint form above, or the explicit
-    /// `u32 count + u64 ids` list that pre-delta manifests carry.
+    /// Decode a page list in the delta-varint form above.
     pub fn decode(d: &mut Decoder<'_>) -> Result<VirtualFile> {
         let len = d.u64()?;
-        let n = d.u32()?;
-        if n == DELTA_LIST {
-            let n = get_varint(d)? as usize;
-            let mut pages = Vec::with_capacity(n.min(d.remaining()));
-            let mut prev = 0i64;
-            for _ in 0..n {
-                prev = prev.wrapping_add(unzigzag(get_varint(d)?));
-                if prev < 0 {
-                    return Err(HanaError::Persist(format!(
-                        "virtual file delta list decodes to negative page id {prev}"
-                    )));
-                }
-                pages.push(PageId(prev as u64));
-            }
-            Ok(VirtualFile { pages, len })
-        } else {
-            let n = n as usize;
-            let mut pages = Vec::with_capacity(n.min(d.remaining() / 8 + 1));
-            for _ in 0..n {
-                pages.push(PageId(d.u64()?));
-            }
-            Ok(VirtualFile { pages, len })
+        if d.u32()? != DELTA_LIST {
+            return Err(HanaError::Persist(
+                "virtual file page list is not delta-encoded".into(),
+            ));
         }
+        let n = get_varint(d)? as usize;
+        let mut pages = Vec::with_capacity(n.min(d.remaining()));
+        let mut prev = 0i64;
+        for _ in 0..n {
+            prev = prev.wrapping_add(unzigzag(get_varint(d)?));
+            if prev < 0 {
+                return Err(HanaError::Persist(format!(
+                    "virtual file delta list decodes to negative page id {prev}"
+                )));
+            }
+            pages.push(PageId(prev as u64));
+        }
+        Ok(VirtualFile { pages, len })
     }
 }
 
@@ -227,8 +221,8 @@ mod tests {
     }
 
     #[test]
-    fn decodes_legacy_explicit_page_list() {
-        // Hand-encode the pre-delta format: u64 len, u32 count, n x u64 ids.
+    fn rejects_explicit_page_list() {
+        // The pre-delta format: u64 len, u32 count, n x u64 ids.
         let mut e = Encoder::new();
         e.u64(300);
         e.u32(3);
@@ -236,14 +230,7 @@ mod tests {
             e.u64(id);
         }
         let bytes = e.into_bytes();
-        let got = VirtualFile::decode(&mut Decoder::new(&bytes)).unwrap();
-        assert_eq!(
-            got,
-            VirtualFile {
-                pages: vec![PageId(5), PageId(9), PageId(2)],
-                len: 300,
-            }
-        );
+        assert!(VirtualFile::decode(&mut Decoder::new(&bytes)).is_err());
     }
 
     #[test]

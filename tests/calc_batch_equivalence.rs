@@ -17,14 +17,15 @@
 //! transaction blocked), the open L2-delta and the L1-delta, with NULLs,
 //! updated and deleted versions in every stage and uncommitted rows in L2
 //! and L1; statements read at the latest snapshot and at one older than the
-//! last two rounds of writes. Fixtures cover `ScanSource::Single` and
-//! `ScanSource::Partitioned` at `scan_parallelism` 1 and 2.
+//! last two rounds of writes. Fixtures cover `ScanSource::Single` and a
+//! two-way `ScanSource::Partitioned` at `scan_parallelism` 1 and 2, plus a
+//! one-partition table, which must read exactly like the single one.
 
-use hana_calc::{AggFunc, Executor, Expr, Predicate, Query, ResultSet, ScanSource};
+use hana_calc::{AggFunc, ExecStats, Executor, Expr, Predicate, Query, ResultSet, ScanSource};
 use hana_common::{
     ColumnDef, ColumnId, DataType, PartitionConfig, ScanConfig, Schema, TableConfig, Value,
 };
-use hana_core::{Database, PartitionedTable, UnifiedTable};
+use hana_core::{ColumnPredicate, Database, PartitionedTable, UnifiedTable};
 use hana_merge::MergeDecision;
 use hana_txn::{IsolationLevel, Snapshot, Transaction};
 use proptest::prelude::*;
@@ -172,13 +173,14 @@ fn pending_row(k: i64) -> Vec<Value> {
 /// chunk), active main, frozen L2, open L2, L1.
 const STAGES: [i64; 5] = [20_000, 3_000, 900, 700, 300];
 
-fn fixture(partitioned: bool, scan_parallelism: usize) -> Fixture {
+/// `partitions == 0` is an unpartitioned table.
+fn fixture(partitions: usize, scan_parallelism: usize) -> Fixture {
     let db = Database::in_memory();
     let mut cfg = TableConfig::default()
         .with_scan(ScanConfig::default().with_scan_parallelism(scan_parallelism));
     cfg.block_size = 64;
-    let fact = if partitioned {
-        let pc = PartitionConfig::new(2, K);
+    let fact = if partitions > 0 {
+        let pc = PartitionConfig::new(partitions, K);
         Fact::Parted(
             db.create_partitioned_table(fact_schema(), cfg.clone(), pc)
                 .unwrap(),
@@ -340,17 +342,24 @@ fn fixture(partitioned: bool, scan_parallelism: usize) -> Fixture {
     }
 }
 
-/// One fixture per (partitioned, parallelism), built once.
+/// One fixture per (partitions, parallelism), built once.
 fn fixtures() -> &'static [Fixture] {
     static ALL: OnceLock<Vec<Fixture>> = OnceLock::new();
     ALL.get_or_init(|| {
         vec![
-            fixture(false, 1),
-            fixture(false, 2),
-            fixture(true, 1),
-            fixture(true, 2),
+            fixture(0, 1),
+            fixture(0, 2),
+            fixture(2, 1),
+            fixture(2, 2),
+            fixture(1, 2),
         ]
     })
+}
+
+/// The unpartitioned fixture and the one-partition fixture at the same
+/// parallelism.
+fn single_and_one_partition() -> (&'static Fixture, &'static Fixture) {
+    (&fixtures()[1], &fixtures()[4])
 }
 
 // ---- random plans ----
@@ -778,5 +787,81 @@ fn pinned_shapes_agree() {
             assert!(!oracle.rows.is_empty());
             assert_same(&batch, &oracle, &format!("shape {q}"));
         }
+    }
+}
+
+/// The statement counters that do not depend on scheduling.
+fn work(s: &ExecStats) -> [u64; 7] {
+    [
+        s.indexed_scans as u64,
+        s.full_scans as u64,
+        s.parts_pruned as u64,
+        s.chunks_pruned as u64,
+        s.zone_pruned_rows,
+        s.code_filtered_rows,
+        s.residue_rows,
+    ]
+}
+
+/// A single table is a one-shard read: a one-partition table answers
+/// filtered scans and random plans exactly like the unpartitioned table —
+/// the same rows in the same order, the same aggregates bit for bit, the
+/// same scan work.
+#[test]
+fn one_partition_table_reads_like_the_single_table() {
+    let (single, one) = single_and_one_partition();
+    let filters = [
+        vec![],
+        vec![ColumnPredicate::Eq(S, Value::str("red"))],
+        vec![
+            ColumnPredicate::Range(
+                K,
+                std::ops::Bound::Included(Value::Int(19_000)),
+                std::ops::Bound::Excluded(Value::Int(24_500)),
+            ),
+            ColumnPredicate::IsNull(D),
+        ],
+    ];
+    assert_eq!((one.old, one.new), (single.old, single.new));
+    for snapshot in [single.new, single.old] {
+        let (a, b) = (
+            single.fact.source().read_at(snapshot),
+            one.fact.source().read_at(snapshot),
+        );
+        assert_eq!(a.stage_row_counts(), b.stage_row_counts());
+        assert_eq!(a.count(), b.count());
+        assert_eq!(
+            a.aggregate_numeric(D).unwrap(),
+            b.aggregate_numeric(D).unwrap()
+        );
+        assert_eq!(
+            a.group_aggregate(S, V).unwrap(),
+            b.group_aggregate(S, V).unwrap()
+        );
+        for preds in &filters {
+            let (rows_a, st_a) = a.scan_filtered(preds, None).unwrap();
+            let (rows_b, st_b) = b.scan_filtered(preds, None).unwrap();
+            assert_eq!(rows_a, rows_b, "{preds:?}");
+            assert_eq!(st_a.work(), st_b.work(), "{preds:?}");
+        }
+    }
+    for seed in 0..24 {
+        let p = plan(seed);
+        let snapshot = if p.old_snapshot {
+            single.old
+        } else {
+            single.new
+        };
+        let mut results = Vec::new();
+        for f in [single, one] {
+            let mut g = query(&p, f, false).compile();
+            if p.optimize {
+                hana_calc::optimize(&mut g);
+            }
+            let mut ex = Executor::new(snapshot);
+            let rs = ex.run(&g).ok();
+            results.push((rs, work(ex.stats())));
+        }
+        assert_eq!(results[0], results[1], "seed {seed}");
     }
 }

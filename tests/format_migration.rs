@@ -1,6 +1,6 @@
-//! Format migration: a database written by the pre-checksum on-disk format
-//! must open cleanly, replay its legacy log, and convert to the enveloped
-//! format on its next savepoint.
+//! Pre-checksum on-disk formats are not read: a database written in them
+//! must fail closed with `HanaError::Corruption` — not open as empty, not
+//! serve rows — and must be left byte-for-byte as it was.
 //!
 //! The fixture is built byte-by-byte in the legacy layout this repo used
 //! before the integrity envelope landed:
@@ -11,16 +11,13 @@
 //! * table-image blobs: raw encoded bytes (no envelope) chunked across
 //!   pages;
 //! * REDO log: `HANALOG1` magic, per-record CRC over the payload alone.
-//!
-//! Opening it exercises every legacy fallback path (page, manifest, image,
-//! log); appending exercises legacy-frame writes; the savepoint + reopen
-//! round trip proves the upgrade is transparent and checksummed.
 
-use hana_common::{ColumnDef, CommitConfig, DataType, GovernorConfig, Schema, TableConfig, Value};
+use hana_common::{
+    ColumnDef, CommitConfig, DataType, GovernorConfig, HanaError, Schema, TableConfig, Value,
+};
 use hana_core::Database;
 use hana_persist::{crc32, Encoder, DEFAULT_PAGE_SIZE};
 use hana_txn::IsolationLevel;
-use std::sync::Arc;
 
 const LEGACY_PAGE_HEADER: usize = 8;
 
@@ -117,87 +114,40 @@ fn build_legacy_fixture(dir: &std::path::Path, rows: i64) {
     std::fs::write(dir.join("redo.log"), &log).unwrap();
 }
 
-fn count(db: &Arc<Database>) -> usize {
-    let t = db.table("t").unwrap();
-    let r = db.begin(IsolationLevel::Transaction);
-    t.read(&r).count()
+/// Every file of the database directory, by name.
+fn files(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut out: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    out.sort();
+    out
 }
 
 #[test]
-fn legacy_image_opens_and_upgrades_through_a_savepoint() {
+fn legacy_database_fails_closed_and_is_left_untouched() {
     let dir = tempfile::tempdir().unwrap();
     build_legacy_fixture(dir.path(), 30);
-
-    // 1. The pre-checksum database opens cleanly and serves its rows;
-    //    every artifact it read was detected as legacy, none as corrupt.
-    {
-        let db = Database::open(dir.path()).unwrap();
-        assert_eq!(count(&db), 30);
-        let stats = db.integrity_stats().unwrap();
-        assert!(
-            stats.pages_legacy >= 2,
-            "manifest + image pages should count as legacy reads: {stats:?}"
-        );
-        assert_eq!(stats.images_legacy, 1, "{stats:?}");
-        assert_eq!(stats.total_corruptions(), 0, "{stats:?}");
-        assert!(!db.health_stats().unwrap().read_only);
-
-        // 2. The opened instance keeps appending to the legacy log…
-        let t = db.table("t").unwrap();
-        let mut txn = db.begin(IsolationLevel::Transaction);
-        for i in 30..40 {
-            t.insert(&txn, vec![Value::Int(i), Value::str(format!("v{i}"))])
-                .unwrap();
-        }
-        db.commit(&mut txn).unwrap();
-    }
-    // …and those legacy-format records replay on the next open.
-    {
-        let db = Database::open(dir.path()).unwrap();
-        assert_eq!(count(&db), 40);
-
-        // 3. The first savepoint rewrites everything in the enveloped
-        //    format (version 2 → slot 0) and rotates to a HANALOG2 log.
-        assert_eq!(db.savepoint().unwrap(), 2);
-    }
-    let log = std::fs::read(dir.path().join("redo.log")).unwrap();
-    assert_eq!(&log[..8], b"HANALOG2", "savepoint must upgrade the log");
-
-    // 4. The upgraded database round-trips. The newest generation is
-    //    enveloped; the *previous* (legacy v1) slot legitimately remains
-    //    readable as the fallback until the next savepoint overwrites it.
-    {
-        let db = Database::open(dir.path()).unwrap();
-        assert_eq!(count(&db), 40);
-        let stats = db.integrity_stats().unwrap();
-        assert!(stats.pages_verified > 0, "{stats:?}");
-        assert!(stats.images_verified >= 1, "{stats:?}");
-        // Still writable after the upgrade.
-        let t = db.table("t").unwrap();
-        let mut txn = db.begin(IsolationLevel::Transaction);
-        t.insert(&txn, vec![Value::Int(99), Value::str("post")])
-            .unwrap();
-        db.commit(&mut txn).unwrap();
-        assert_eq!(count(&db), 41);
-        // A second savepoint (version 3 → slot 1) retires the last legacy
-        // artifact…
-        assert_eq!(db.savepoint().unwrap(), 3);
-    }
-    // …after which an open touches nothing legacy at all.
-    {
-        let db = Database::open(dir.path()).unwrap();
-        assert_eq!(count(&db), 41);
-        let stats = db.integrity_stats().unwrap();
-        assert_eq!(stats.pages_legacy, 0, "{stats:?}");
-        assert_eq!(stats.images_legacy, 0, "{stats:?}");
-        assert_eq!(stats.total_corruptions(), 0, "{stats:?}");
-    }
+    let before = files(dir.path());
+    let err = match Database::open(dir.path()) {
+        Ok(_) => panic!("a pre-checksum database must not open"),
+        Err(e) => e,
+    };
+    assert!(
+        matches!(err, HanaError::Corruption(_)),
+        "expected fail-closed corruption error, got: {err}"
+    );
+    assert!(
+        files(dir.path()) == before,
+        "a refused open must not modify the directory"
+    );
 }
 
-/// A damaged legacy fixture must not open as an empty database: with the
-/// only manifest unreadable but a log epoch proving a savepoint was once
-/// published, the open fails closed rather than serving a half-loaded
-/// table.
+/// A damaged legacy fixture fails closed the same way: never an empty
+/// database, never a half-loaded table.
 #[test]
 fn damaged_legacy_manifest_fails_closed_not_garbage() {
     let dir = tempfile::tempdir().unwrap();
@@ -211,7 +161,7 @@ fn damaged_legacy_manifest_fails_closed_not_garbage() {
         Err(e) => e,
     };
     assert!(
-        matches!(err, hana_common::HanaError::Corruption(_)),
+        matches!(err, HanaError::Corruption(_)),
         "expected fail-closed corruption error, got: {err}"
     );
 }

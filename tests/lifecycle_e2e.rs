@@ -227,8 +227,9 @@ fn partitioned_lifecycle() {
     txn.commit().unwrap();
     while pt.maybe_merge_all().unwrap() {}
     let snap = hana_txn::Snapshot::at(mgr.now());
-    assert_eq!(pt.parallel_scan(snap).len(), 400);
-    let (c, s) = pt.parallel_aggregate(snap, 2).unwrap();
+    let read = pt.read_at(snap);
+    assert_eq!(read.collect_rows().len(), 400);
+    let (c, s) = read.aggregate_numeric(2).unwrap();
     assert_eq!((c, s), (400, 400.0));
     // Rows merged somewhere down the pipeline in each partition.
     let merged: usize = pt
