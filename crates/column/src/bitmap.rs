@@ -96,6 +96,28 @@ impl Bitmap {
         }
     }
 
+    /// Number of set bits in `[lo, hi)`, word-at-a-time; bits past the end
+    /// read as 0.
+    pub fn count_ones_in(&self, lo: usize, hi: usize) -> usize {
+        let hi = hi.min(self.len);
+        if lo >= hi {
+            return 0;
+        }
+        let (lw, hw) = (lo / 64, (hi - 1) / 64);
+        (lw..=hw)
+            .map(|w| {
+                let mut word = self.words[w];
+                if w == lw {
+                    word &= u64::MAX << (lo % 64);
+                }
+                if w == hw {
+                    word &= u64::MAX >> (63 - (hi - 1) % 64);
+                }
+                word.count_ones() as usize
+            })
+            .sum()
+    }
+
     /// Set every bit in `[lo, hi)`, growing as needed. Word-at-a-time, so
     /// run-granular kernels (RLE, cluster, sparse) pay O(bits/64).
     pub fn set_range(&mut self, lo: usize, hi: usize) {

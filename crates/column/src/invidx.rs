@@ -3,8 +3,8 @@
 //! *"In order to implement efficient validations of uniqueness constraints,
 //! the unified table provides inverted indexes for the delta and main
 //! structures"* (§3.1). The main store's index is an immutable CSR layout
-//! ([`InvertedIndex`]); the L2-delta needs append support and uses per-code
-//! growable lists ([`GrowableInvertedIndex`]).
+//! ([`InvertedIndex`]); the L2-delta needs append support and chains each
+//! code's positions through one per-position link ([`GrowableInvertedIndex`]).
 
 use crate::{Code, Pos};
 
@@ -70,11 +70,19 @@ impl InvertedIndex {
     }
 }
 
-/// Growable inverted index for the append-only L2-delta.
+/// End of a position chain.
+const NONE: Pos = Pos::MAX;
+
+/// Growable inverted index for the append-only L2-delta: one chain per
+/// code through the positions carrying it, newest first. `head[code]` is
+/// the newest such position and `prev[pos]` the one before it, so an append
+/// is two stores and no code owns a heap block of its own.
 #[derive(Debug, Clone, Default)]
 pub struct GrowableInvertedIndex {
-    lists: Vec<Vec<Pos>>,
-    len: usize,
+    head: Vec<Pos>,
+    /// One entry per position up to the newest indexed one; positions left
+    /// out (NULL cells) hold [`NONE`] and are on no chain.
+    prev: Vec<Pos>,
 }
 
 impl GrowableInvertedIndex {
@@ -83,40 +91,43 @@ impl GrowableInvertedIndex {
         Self::default()
     }
 
+    /// Reserve room for `positions` more positions and codes up to
+    /// `codes` — a bulk append knows both before it starts.
+    pub fn reserve(&mut self, codes: usize, positions: usize) {
+        self.head.reserve(codes.saturating_sub(self.head.len()));
+        self.prev.reserve(positions);
+    }
+
     /// Record that position `pos` carries `code`. Positions must arrive in
-    /// ascending order per code (they do: the L2-delta is append-only).
+    /// ascending order (they do: the L2-delta is append-only).
     pub fn insert(&mut self, code: Code, pos: Pos) {
-        let c = code as usize;
-        if c >= self.lists.len() {
-            self.lists.resize_with(c + 1, Vec::new);
+        let (c, p) = (code as usize, pos as usize);
+        debug_assert!(p >= self.prev.len(), "positions arrive in ascending order");
+        if c >= self.head.len() {
+            self.head.resize(c + 1, NONE);
         }
-        debug_assert!(self.lists[c].last().is_none_or(|&p| p < pos));
-        self.lists[c].push(pos);
-        self.len += 1;
+        self.prev.resize(p, NONE);
+        self.prev.push(self.head[c]);
+        self.head[c] = pos;
     }
 
-    /// Positions carrying `code`, ascending.
-    pub fn positions(&self, code: Code) -> &[Pos] {
-        self.lists
-            .get(code as usize)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// Positions below `fence` carrying `code`, ascending.
+    pub fn positions(&self, code: Code, fence: Pos) -> Vec<Pos> {
+        let mut out = Vec::new();
+        let mut p = self.head.get(code as usize).copied().unwrap_or(NONE);
+        while p != NONE {
+            if p < fence {
+                out.push(p);
+            }
+            p = self.prev[p as usize];
+        }
+        out.reverse();
+        out
     }
 
-    /// Total number of indexed positions.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Approximate heap footprint in bytes.
+    /// Heap footprint in bytes (by capacity).
     pub fn heap_size(&self) -> usize {
-        self.lists.capacity() * std::mem::size_of::<Vec<Pos>>()
-            + self.lists.iter().map(|l| l.capacity() * 4).sum::<usize>()
+        (self.head.capacity() + self.prev.capacity()) * std::mem::size_of::<Pos>()
     }
 }
 
@@ -155,11 +166,12 @@ mod tests {
         let mut idx = GrowableInvertedIndex::new();
         idx.insert(5, 0);
         idx.insert(1, 1);
-        idx.insert(5, 2);
-        assert_eq!(idx.positions(5), &[0, 2]);
-        assert_eq!(idx.positions(1), &[1]);
-        assert_eq!(idx.positions(99), &[] as &[Pos]);
-        assert_eq!(idx.len(), 3);
+        idx.insert(5, 3); // position 2 is a NULL cell: on no chain
+        assert_eq!(idx.positions(5, 4), vec![0, 3]);
+        assert_eq!(idx.positions(1, 4), vec![1]);
+        assert_eq!(idx.positions(99, 4), Vec::<Pos>::new());
+        // The fence cuts off later positions.
+        assert_eq!(idx.positions(5, 3), vec![0]);
     }
 
     #[test]
@@ -167,11 +179,14 @@ mod tests {
         let codes: Vec<Code> = (0..500).map(|i| (i * 31) % 13).collect();
         let csr = InvertedIndex::build(codes.iter().copied(), 13);
         let mut grow = GrowableInvertedIndex::new();
+        grow.reserve(13, codes.len());
         for (p, &c) in codes.iter().enumerate() {
             grow.insert(c, p as Pos);
         }
         for c in 0..13 {
-            assert_eq!(csr.positions(c), grow.positions(c), "code {c}");
+            assert_eq!(csr.positions(c), grow.positions(c, 500), "code {c}");
         }
+        // Two u32 stores per position, one head per code, no list headers.
+        assert_eq!(grow.heap_size(), (13 + 500) * 4);
     }
 }

@@ -2,7 +2,8 @@
 //! naive reference implementation.
 
 use hana_column::{
-    BitPackedVec, Bitmap, Cluster, CodeStats, CodeVector, InvertedIndex, Rle, Sparse,
+    BitPackedVec, Bitmap, Cluster, CodeStats, CodeVector, GrowableInvertedIndex, InvertedIndex,
+    Rle, Sparse,
 };
 use proptest::prelude::*;
 
@@ -76,6 +77,33 @@ proptest! {
         }
     }
 
+    /// The chained L2 index answers like one position list per code, under
+    /// any fence, with NULL cells (here: cells of 40 and up) left off every
+    /// chain.
+    #[test]
+    fn chained_index_matches_lists(
+        cells in prop::collection::vec(0u32..48, 0..300),
+        fences in prop::collection::vec(0u32..320, 1..8),
+    ) {
+        let mut idx = GrowableInvertedIndex::new();
+        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); 40];
+        for (pos, &code) in cells.iter().enumerate() {
+            if code < 40 {
+                idx.insert(code, pos as u32);
+                lists[code as usize].push(pos as u32);
+            }
+        }
+        for fence in fences {
+            for code in 0..41u32 {
+                let want: Vec<u32> = lists
+                    .get(code as usize)
+                    .map(|l| l.iter().copied().filter(|&p| p < fence).collect())
+                    .unwrap_or_default();
+                prop_assert_eq!(idx.positions(code, fence), want);
+            }
+        }
+    }
+
     #[test]
     fn bitmap_matches_btreeset(ops in prop::collection::vec((0usize..200, any::<bool>()), 0..100)) {
         let mut bm = Bitmap::new();
@@ -93,6 +121,7 @@ proptest! {
         prop_assert_eq!(bm.iter_ones().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
         for p in 0..250 {
             prop_assert_eq!(bm.get(p), model.contains(&p));
+            prop_assert_eq!(bm.count_ones_in(p / 3, p), model.range(p / 3..p).count());
         }
     }
 

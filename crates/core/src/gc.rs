@@ -38,6 +38,20 @@
 //! goes away. Aborted-set entries skip the deferral: an unknown id already
 //! resolves as aborted, so dropping one can never change a resolution.
 //!
+//! **The merge floor.** Both merges replay end stamps that raced their
+//! build as *marks* into a structure no sweep sees before publication: the
+//! delta-to-main merge into its new main, the L1→L2 merge into the open
+//! L2's unpublished tail. A sweep meanwhile settles the same mark in the
+//! old structure and stops listing the transaction, and two trims later
+//! the entry would be gone — so at publication the copied mark would
+//! resolve as *aborted* and the deletion would be lost. While a merge
+//! runs, the table's sweep therefore reports `watermark_start` no later
+//! than the commit clock at the merge's start (the earliest start when
+//! both run). Every transaction whose mark a merge can copy wrote it after
+//! that start and so commits after it, above the cutoff, and stays
+//! resolvable until a sweep that starts after publication sees the new
+//! structure.
+//!
 //! ## Scheduling
 //!
 //! [`TableGc`] implements [`MergeTarget`], so the [`MergeDaemon`] drives it
@@ -82,7 +96,8 @@ pub struct TableGcState {
 
 /// What one table sweep observed (input to the database-wide trim).
 pub struct SweepReport {
-    /// MVCC watermark captured *before* the sweep touched any stamp.
+    /// MVCC watermark captured *before* the sweep touched any stamp,
+    /// lowered to the merge floor while a merge runs (see the module docs).
     pub watermark_start: Timestamp,
     /// Transaction ids still carried by some mark this sweep could not
     /// rewrite (in-flight writers, lost CAS races, immutable main begins).
@@ -323,7 +338,14 @@ impl UnifiedTable {
     /// and merges: every rewrite is a compare-exchange that loses to any
     /// racing real store.
     pub fn gc_sweep(&self) -> SweepReport {
-        let watermark_start = self.mgr.watermark();
+        // The merge floor: a running merge may copy marks of transactions
+        // committing after its start into a structure this sweep cannot
+        // see yet (see the module docs).
+        let watermark_start = self
+            .mgr
+            .watermark()
+            .min(self.delta_merge_since.load(Ordering::SeqCst))
+            .min(self.l1_merge_since.load(Ordering::SeqCst));
         let mut rep = SweepReport::empty(watermark_start);
 
         // L1 slots.
@@ -607,6 +629,75 @@ mod tests {
         let cts = second.commit().unwrap();
         assert_eq!(sweep(&mgr, &part, &mut memo).marks_resolved, 1);
         assert_eq!(part.end(2), cts);
+    }
+
+    /// A delta merge replays a deletion that raced its build into the new
+    /// main as a mark. GC cycles that run before publication settle the
+    /// same mark in the old main; the merge floor keeps the writer's
+    /// commit-table entry until the new main is swept, so after publication
+    /// the copied mark still resolves as committed.
+    #[test]
+    fn trims_during_a_merge_keep_the_marks_it_copies() {
+        use hana_common::{ColumnDef, ColumnId, DataType, Schema, TableConfig, Value};
+        use hana_merge::MergeDecision;
+        use std::sync::mpsc::channel;
+
+        let mgr = TxnManager::new();
+        let schema = Schema::new(
+            "t",
+            vec![
+                ColumnDef::new("id", DataType::Int).unique(),
+                ColumnDef::new("v", DataType::Int),
+            ],
+        )
+        .unwrap();
+        let table = UnifiedTable::standalone(schema, TableConfig::default(), Arc::clone(&mgr));
+        let mut load = mgr.begin(IsolationLevel::Transaction);
+        for i in 0..10 {
+            table
+                .insert(&load, vec![Value::Int(i), Value::Int(0)])
+                .unwrap();
+        }
+        load.commit().unwrap();
+        table.force_full_merge().unwrap();
+        let shared = GcShared::new();
+        shared.register_table(table.id().0);
+
+        let (paused, wait_paused) = channel();
+        let (release, wait_release) = channel::<()>();
+        let t = &table;
+        std::thread::scope(|s| {
+            let merge = s.spawn(move || {
+                t.merge_delta_with(MergeDecision::Classic, move || {
+                    paused.send(()).unwrap();
+                    wait_release.recv().unwrap();
+                })
+            });
+            wait_paused.recv().unwrap();
+            // Close a main-resident version while the merge waits between
+            // its off-line drain and its publication.
+            let mut writer = mgr.begin(IsolationLevel::Transaction);
+            t.update_where(
+                &writer,
+                ColumnId(0),
+                &Value::Int(3),
+                &[(ColumnId(1), Value::Int(1))],
+            )
+            .unwrap();
+            writer.commit().unwrap();
+            t.finish_txn(writer.id());
+            for _ in 0..3 {
+                let report = t.gc_sweep();
+                shared.absorb(&mgr, t.id().0, report);
+            }
+            release.send(()).unwrap();
+            merge.join().unwrap().unwrap();
+        });
+
+        let reader = mgr.begin(IsolationLevel::Transaction);
+        let read = table.read(&reader);
+        assert_eq!(read.point(0, &Value::Int(3)).unwrap().len(), 1);
+        assert_eq!(read.count(), 10);
     }
 
     #[test]

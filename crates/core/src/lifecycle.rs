@@ -19,15 +19,16 @@
 //! * [`UnifiedTable::maybe_merge`] — the policy-driven entry point the
 //!   [`MergeDaemon`](hana_merge::MergeDaemon) calls.
 
-use crate::table::UnifiedTable;
+use crate::loc::Loc;
+use crate::table::{UnifiedTable, NOT_MERGING};
 use hana_column::Pos;
-use hana_common::{HanaError, Result, RowId, Timestamp};
+use hana_common::{HanaError, Result, Timestamp};
 use hana_merge::{
     classic_merge, decide_delta_merge, decide_l1_merge, l1_to_l2_merge, partial_merge,
     resort_merge, MergeDecision, MergeInput, MergeTarget,
 };
 use hana_persist::LogRecord;
-use hana_store::{L2Delta, MainStore};
+use hana_store::L2Delta;
 use rustc_hash::FxHashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -91,7 +92,7 @@ impl UnifiedTable {
         // earlier run are harmless — but start clean anyway. The flag must
         // be up before the copy reads any stamp.
         self.pending_l1_ends.lock().clear();
-        self.l1_merge_running.store(true, Ordering::SeqCst);
+        self.l1_merge_since.store(self.mgr.now(), Ordering::SeqCst);
 
         // Step 2 (no lock): copy the settled L1 prefix into the open L2's
         // unpublished tail. A racing freeze may close `l2` under us; the
@@ -105,13 +106,13 @@ impl UnifiedTable {
         ) {
             Ok(o) => o,
             Err(e) => {
-                self.l1_merge_running.store(false, Ordering::SeqCst);
+                self.l1_merge_since.store(NOT_MERGING, Ordering::SeqCst);
                 return Err(e);
             }
         };
         let moved = outcome.moved.len();
         if moved == 0 && outcome.dropped.is_empty() {
-            self.l1_merge_running.store(false, Ordering::SeqCst);
+            self.l1_merge_since.store(NOT_MERGING, Ordering::SeqCst);
             return Ok(0);
         }
 
@@ -165,7 +166,7 @@ impl UnifiedTable {
             self.note_publication_stall(held.elapsed());
             published
         };
-        self.l1_merge_running.store(false, Ordering::SeqCst);
+        self.l1_merge_since.store(NOT_MERGING, Ordering::SeqCst);
         if !published {
             // Unpublished appends die with the frozen L2; the rows are
             // still in L1 and the next run re-merges them into the new L2.
@@ -207,6 +208,17 @@ impl UnifiedTable {
 
     /// Run a delta-to-main merge with an explicit strategy decision.
     pub fn merge_delta_as(&self, decision: MergeDecision) -> Result<()> {
+        self.merge_delta_with(decision, || {})
+    }
+
+    /// [`merge_delta_as`](Self::merge_delta_as), running `before_publish`
+    /// between the off-line drain of raced end stamps and the publication
+    /// (tests hold a merge there).
+    pub(crate) fn merge_delta_with(
+        &self,
+        decision: MergeDecision,
+        before_publish: impl FnOnce(),
+    ) -> Result<()> {
         if decision == MergeDecision::NotYet {
             return Ok(());
         }
@@ -229,7 +241,8 @@ impl UnifiedTable {
                 state.l2_frozen = Some(old);
             }
             self.pending_ends.lock().clear();
-            self.delta_merge_running.store(true, Ordering::SeqCst);
+            self.delta_merge_since
+                .store(self.mgr.now(), Ordering::SeqCst);
             let pinned = (
                 Arc::clone(state.l2_frozen.as_ref().unwrap()),
                 Arc::clone(&state.main),
@@ -253,61 +266,59 @@ impl UnifiedTable {
         let history = self.history.as_ref();
         let built = match decision {
             MergeDecision::Classic | MergeDecision::Consolidate => {
-                classic_merge(&input, &self.mgr, history).map(|o| (o.new_main, o.metrics))
+                classic_merge(&input, &self.mgr, history)
             }
-            MergeDecision::ReSorting => resort_merge(&input, &self.mgr, history)
-                .map(|o| (o.merge.new_main, o.merge.metrics)),
-            MergeDecision::Partial => {
-                partial_merge(&input, &self.mgr, history).map(|o| (o.new_main, o.metrics))
-            }
+            MergeDecision::ReSorting => resort_merge(&input, &self.mgr, history).map(|o| o.merge),
+            MergeDecision::Partial => partial_merge(&input, &self.mgr, history),
             MergeDecision::NotYet => unreachable!(),
         };
-        let (new_main, metrics) = match built {
-            Ok(m) => m,
+        let outcome = match built {
+            Ok(o) => o,
             Err(e) => {
                 // Keep the frozen L2; a later attempt retries the merge.
-                self.delta_merge_running.store(false, Ordering::SeqCst);
+                self.delta_merge_since.store(NOT_MERGING, Ordering::SeqCst);
                 return Err(e);
             }
         };
 
-        // Phase 2b (no lock): index the freshly built part(s) — rows of
-        // this merge live in parts stamped `generation`; passive parts
-        // of a partial merge are shared `Arc`s whose end stamps writers
-        // hit directly — and drain the bulk of the raced end stamps
-        // against the still-unpublished build.
-        let index: FxHashMap<RowId, (usize, u32)> = new_main
-            .parts()
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.generation() == generation)
-            .flat_map(|(pi, p)| {
-                p.row_ids()
-                    .iter()
-                    .enumerate()
-                    .map(move |(pos, id)| (*id, (pi, pos as u32)))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let apply = |new_main: &MainStore, queued: Vec<(RowId, Timestamp)>| {
-            for (row_id, ts) in queued {
-                if let Some(&(pi, pos)) = index.get(&row_id) {
-                    new_main.parts()[pi].store_end(pos, ts);
+        // Phase 2b (no lock): drain the bulk of the raced end stamps
+        // against the still-unpublished build. The rows of this merge live
+        // in the part it built (the chain's last); each closed version is
+        // placed by its old location's rank among the survivors. Passive
+        // parts of a partial merge are shared `Arc`s whose end stamps
+        // writers hit directly, so the row map places none of their rows.
+        let built = Arc::clone(
+            outcome
+                .new_main
+                .parts()
+                .last()
+                .expect("a merge builds one part"),
+        );
+        let apply = |queued: Vec<(Loc, Timestamp)>| {
+            for (loc, ts) in queued {
+                let new_pos = match loc {
+                    Loc::Main { part_gen, pos } => outcome.row_map.main_pos(part_gen, pos),
+                    Loc::L2 { pos, .. } => outcome.row_map.l2_pos(pos),
+                    Loc::L1(_) => None,
+                };
+                if let Some(pos) = new_pos {
+                    built.store_end(pos, ts);
                 }
             }
         };
-        apply(&new_main, std::mem::take(&mut *self.pending_ends.lock()));
+        apply(std::mem::take(&mut *self.pending_ends.lock()));
+        before_publish();
 
-        // Phase 3 (brief exclusive lock): drain the residue through the
-        // prebuilt index — bounded by the end stamps that raced the one
-        // off-line drain above, not by table size — then swap.
+        // Phase 3 (brief exclusive lock): drain the residue — bounded by
+        // the end stamps that raced the off-line drain above, each placed
+        // in O(1), never by table size — then swap.
         let mut state = self.state.write();
         let held = std::time::Instant::now();
-        apply(&new_main, std::mem::take(&mut *self.pending_ends.lock()));
-        state.main = Arc::new(new_main);
+        apply(std::mem::take(&mut *self.pending_ends.lock()));
+        state.main = Arc::new(outcome.new_main);
         state.l2_frozen = None;
-        *self.last_merge_metrics.lock() = Some(metrics);
-        self.delta_merge_running.store(false, Ordering::SeqCst);
+        *self.last_merge_metrics.lock() = Some(outcome.metrics);
+        self.delta_merge_since.store(NOT_MERGING, Ordering::SeqCst);
         drop(state);
         self.note_publication_stall(held.elapsed());
         // Best-effort, after publication: the new main is already visible

@@ -16,14 +16,20 @@
 //!   L2 + immutable main, the latter against an L1 snapshot and the open
 //!   L2's unpublished tail.
 //! * End-stamp writes that land in the frozen L2 or the main while a
-//!   delta-to-main merge is building are recorded in `pending_ends`; the
-//!   merge drains them off-line against the finished build and re-applies
-//!   only the residue at publication — no deletion can be lost to the
-//!   structure swap. End stamps landing in L1 slots while an L1→L2 copy
-//!   runs are likewise queued in `pending_l1_ends` and, as the correctness
-//!   anchor, every moved slot's end stamp is re-read under the exclusive
-//!   lock before the publication (writers stamp ends inside `state.read()`
-//!   sections, so those stores happen-before our `state.write()`).
+//!   delta-to-main merge is building are recorded in `pending_ends` with the
+//!   closed version's location; the merge drains them off-line against the
+//!   finished build (placing each by its rank among the survivors, see
+//!   [`hana_merge::RowMap`]) and re-applies only the residue at publication
+//!   — no deletion can be lost to the structure swap. End stamps landing in
+//!   L1 slots while an L1→L2 copy runs are likewise queued in
+//!   `pending_l1_ends` and, as the correctness anchor, every moved slot's
+//!   end stamp is re-read under the exclusive lock before the publication
+//!   (writers stamp ends inside `state.read()` sections, so those stores
+//!   happen-before our `state.write()`).
+//! * Both replays copy uncommitted-writer *marks* into a structure no GC
+//!   sweep sees until publication, so while either merge runs the table's
+//!   sweep lowers its trim cutoff to the commit clock at the merge's start
+//!   (`delta_merge_since` / `l1_merge_since`; see [`crate::gc`]).
 //! * `l1_merge_lock` serializes L1→L2 merges against each other and against
 //!   bulk loads (the only two producers of open-L2 rows); it is *not* held
 //!   across the delta-to-main merge, which instead hands the open L2 off by
@@ -41,8 +47,12 @@ use hana_rowstore::L1Delta;
 use hana_store::{HistoryStore, L2Delta, MainStore};
 use hana_txn::{LockTable, TxnManager};
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The value of `delta_merge_since` / `l1_merge_since` while no such merge
+/// runs.
+pub(crate) const NOT_MERGING: Timestamp = Timestamp::MAX;
 
 /// Structure versions guarded by the state lock.
 pub(crate) struct TableState {
@@ -72,12 +82,16 @@ pub struct UnifiedTable {
     pub(crate) l1_merge_lock: Mutex<()>,
     /// Serializes delta-to-main merges.
     pub(crate) delta_merge_lock: Mutex<()>,
-    /// True while a delta-to-main merge is building its new main.
-    pub(crate) delta_merge_running: AtomicBool,
-    /// End-stamp writes raced against the running merge (see module docs).
-    pub(crate) pending_ends: Mutex<Vec<(RowId, Timestamp)>>,
-    /// True while an L1→L2 merge is copying its snapshot off-lock.
-    pub(crate) l1_merge_running: AtomicBool,
+    /// Commit clock when the running delta-to-main merge froze its L2, from
+    /// then until publication or failure; [`NOT_MERGING`] otherwise.
+    pub(crate) delta_merge_since: AtomicU64,
+    /// `(location of the closed version, end stamp)` writes raced against
+    /// the running delta-to-main merge (see module docs).
+    pub(crate) pending_ends: Mutex<Vec<(Loc, Timestamp)>>,
+    /// Commit clock when the running L1→L2 merge started copying its
+    /// snapshot off-lock, until it publishes or abandons; [`NOT_MERGING`]
+    /// otherwise.
+    pub(crate) l1_merge_since: AtomicU64,
     /// `(L1 logical position, end stamp)` writes raced against the running
     /// L1→L2 copy (fast-path queue; see module docs).
     pub(crate) pending_l1_ends: Mutex<Vec<(u64, Timestamp)>>,
@@ -134,9 +148,9 @@ impl UnifiedTable {
             next_gen: AtomicU64::new(1),
             l1_merge_lock: Mutex::new(()),
             delta_merge_lock: Mutex::new(()),
-            delta_merge_running: AtomicBool::new(false),
+            delta_merge_since: AtomicU64::new(NOT_MERGING),
             pending_ends: Mutex::new(Vec::new()),
-            l1_merge_running: AtomicBool::new(false),
+            l1_merge_since: AtomicU64::new(NOT_MERGING),
             pending_l1_ends: Mutex::new(Vec::new()),
             last_merge_metrics: Mutex::new(None),
             publication_stall_ns: AtomicU64::new(0),
@@ -303,18 +317,13 @@ impl UnifiedTable {
 
     /// Write an end stamp at a location (caller holds the state lock, which
     /// guarantees the location is current). Records the write for merge
-    /// reconciliation when a delta merge is building.
-    pub(crate) fn store_end_locked(
-        &self,
-        state: &TableState,
-        row_id: RowId,
-        loc: Loc,
-        ts: Timestamp,
-    ) {
+    /// reconciliation when a merge is building.
+    pub(crate) fn store_end_locked(&self, state: &TableState, loc: Loc, ts: Timestamp) {
+        let delta_merging = || self.delta_merge_since.load(Ordering::Acquire) != NOT_MERGING;
         match loc {
             Loc::L1(pos) => {
                 self.l1.with_slot(pos, |s| s.store_end(ts));
-                if self.l1_merge_running.load(Ordering::Acquire) {
+                if self.l1_merge_since.load(Ordering::Acquire) != NOT_MERGING {
                     self.pending_l1_ends.lock().push((pos, ts));
                 }
             }
@@ -326,8 +335,8 @@ impl UnifiedTable {
                 if let Some(l2) = self.l2_by_gen(state, gen) {
                     l2.store_end(pos, ts);
                 }
-                if frozen && self.delta_merge_running.load(Ordering::Acquire) {
-                    self.pending_ends.lock().push((row_id, ts));
+                if frozen && delta_merging() {
+                    self.pending_ends.lock().push((loc, ts));
                 }
             }
             Loc::Main { part_gen, pos } => {
@@ -338,8 +347,8 @@ impl UnifiedTable {
                     .find(|p| p.generation() == part_gen)
                 {
                     p.store_end(pos, ts);
-                    if self.delta_merge_running.load(Ordering::Acquire) {
-                        self.pending_ends.lock().push((row_id, ts));
+                    if delta_merging() {
+                        self.pending_ends.lock().push((loc, ts));
                     }
                 }
             }

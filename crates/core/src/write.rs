@@ -127,7 +127,7 @@ impl UnifiedTable {
             txn: txn.id(),
             row: new_row.clone(),
         })?;
-        self.store_end_locked(&state, row_id, loc, txn.id().mark());
+        self.store_end_locked(&state, loc, txn.id().mark());
         #[cfg(debug_assertions)]
         {
             let (_, _, end, _) = self
@@ -151,7 +151,7 @@ impl UnifiedTable {
             row_id,
             txn: txn.id(),
         })?;
-        self.store_end_locked(&state, row_id, loc, txn.id().mark());
+        self.store_end_locked(&state, loc, txn.id().mark());
         Ok(row_id)
     }
 

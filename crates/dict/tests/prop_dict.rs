@@ -4,6 +4,7 @@ use hana_common::Value;
 use hana_dict::merge::{merge_dicts_filtered, DROPPED};
 use hana_dict::{merge_dicts, FrontCodedStrings, GlobalSortedDict, SortedDict, UnsortedDict};
 use proptest::prelude::*;
+use rustc_hash::FxHashMap;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -43,6 +44,35 @@ proptest! {
         for (i, v) in uniq.iter().enumerate() {
             prop_assert_eq!(d.code_of(v), Some(i as u32));
             prop_assert_eq!(&d.value_of(i as u32), v);
+        }
+    }
+
+    /// The code-keyed hash table answers exactly like a value-keyed map:
+    /// arrival-order codes, lookups of present and absent values, across
+    /// every table growth.
+    #[test]
+    fn unsorted_dict_matches_a_hash_map(
+        ops in prop::collection::vec((value_strategy(), any::<bool>()), 0..400),
+        cap in 0usize..20,
+    ) {
+        let mut d = UnsortedDict::with_capacity(cap);
+        let mut model: FxHashMap<Value, u32> = FxHashMap::default();
+        let mut order: Vec<Value> = Vec::new();
+        for (v, insert) in ops {
+            if insert {
+                let want = *model.entry(v.clone()).or_insert_with(|| {
+                    order.push(v.clone());
+                    order.len() as u32 - 1
+                });
+                prop_assert_eq!(d.get_or_insert(&v), want);
+            } else {
+                prop_assert_eq!(d.code_of(&v), model.get(&v).copied());
+            }
+        }
+        prop_assert_eq!(d.values(), order.as_slice());
+        for (c, v) in order.iter().enumerate() {
+            prop_assert_eq!(d.code_of(v), Some(c as u32));
+            prop_assert_eq!(d.value_of(c as u32), v);
         }
     }
 

@@ -6,13 +6,17 @@
 //! index: old main codes are recoded through the mapping table "with the
 //! same or an increased number of bits", and the L2-delta's entries are
 //! appended at the end. The result is a single-part [`MainStore`].
+//!
+//! Each column worker packs the column it merged (code vector, inverted
+//! index, zone map) before taking the next, so at most one raw code vector
+//! per worker is alive at a time.
 
 use crate::parallel::{effective_workers, map_indexed};
-use crate::survivors::{collect_survivors, survivor_value, MergeInput, Origin, SurvivorSet};
+use crate::survivors::{collect_survivors, MergeInput, Origin, RowMap, Survivors};
 use hana_common::{Result, RowId, Value};
 use hana_dict::merge::{merge_dicts_filtered, DROPPED};
 use hana_dict::{Code, MergeKind, SortedDict};
-use hana_store::{HistoryStore, L2Delta, MainColumnData, MainPart, MainStore};
+use hana_store::{HistoryStore, L2Delta, MainColumn, MainColumnData, MainPart, MainStore};
 use hana_txn::TxnManager;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,6 +50,9 @@ pub struct DeltaMergeOutcome {
     /// Which dictionary-merge path each column took (classic merge of a
     /// single-part main only; `General` otherwise).
     pub dict_paths: Vec<MergeKind>,
+    /// Where the merged rows landed in the part this merge built (the last
+    /// part of `new_main`).
+    pub row_map: RowMap,
     /// Timing and shape of this merge.
     pub metrics: MergeMetrics,
 }
@@ -64,153 +71,98 @@ impl std::fmt::Debug for DeltaMergeOutcome {
     }
 }
 
-impl MergeMetrics {
-    /// Assemble the metrics of a merge that started at `started`.
-    pub(crate) fn measure(
-        rows_in: usize,
-        rows_out: usize,
-        columns: usize,
-        workers: usize,
-        started: Instant,
-    ) -> Self {
-        MergeMetrics {
-            duration: started.elapsed(),
-            rows_in,
-            rows_out,
-            columns,
-            parallel_workers: workers,
-        }
-    }
+/// Worker threads for the per-column work of `input`.
+pub(crate) fn column_workers(input: &MergeInput<'_>) -> usize {
+    effective_workers(input.parallel).min(input.l2.schema().arity().max(1))
 }
 
-/// Dictionaries + uncompressed global code matrix for the new structure,
-/// shared between the classic and re-sorting merges.
-pub(crate) struct MergedColumns {
-    pub dicts: Vec<SortedDict>,
-    /// `codes[col][row]`, NULL encoded as `dicts[col].len()`.
-    pub codes: Vec<Vec<Code>>,
-    pub paths: Vec<MergeKind>,
-    /// Worker threads the fan-out actually ran with.
-    pub workers: usize,
-}
-
-/// Build merged dictionaries and recoded value vectors for all columns,
-/// fanning the per-column work out over `input.parallel` workers.
-pub(crate) fn build_merged_columns(
+/// One merged column in survivor (input) order, before packing: its new
+/// sorted dictionary and global codes, and the dictionary-merge path taken.
+/// Shared between the classic and re-sorting merges.
+pub(crate) fn merge_column(
     input: &MergeInput<'_>,
-    survivors: &SurvivorSet,
-) -> MergedColumns {
-    let arity = input.l2.schema().arity();
-    let single_part = input.main.parts().len() <= 1;
-    let workers = effective_workers(input.parallel).min(arity.max(1));
-    let merged = map_indexed(arity, workers, |col| {
-        if single_part {
-            merge_one_column_fast(input, survivors, col)
-        } else {
-            merge_one_column_general(input, survivors, col)
-        }
-    });
-    let mut dicts = Vec::with_capacity(arity);
-    let mut codes = Vec::with_capacity(arity);
-    let mut paths = Vec::with_capacity(arity);
-    for (d, c, k) in merged {
-        dicts.push(d);
-        codes.push(c);
-        paths.push(k);
-    }
-    MergedColumns {
-        dicts,
+    survivors: &Survivors,
+    col: usize,
+) -> (MainColumnData, MergeKind) {
+    let (dict, codes, kind) = if input.main.parts().len() <= 1 {
+        merge_one_column_fast(input, survivors, col)
+    } else {
+        merge_one_column_general(input, survivors, col)
+    };
+    let data = MainColumnData {
+        dict,
+        base: 0,
         codes,
-        paths,
-        workers,
-    }
+    };
+    (data, kind)
 }
 
 /// Fig-7 path: one old main part (or none) ⇒ dictionary merge with mapping
-/// tables and code translation, no value materialization.
+/// tables and code translation, no value materialization. The L2 codes are
+/// read in place, under one borrow of the delta.
 fn merge_one_column_fast(
     input: &MergeInput<'_>,
-    survivors: &SurvivorSet,
+    survivors: &Survivors,
     col: usize,
 ) -> (SortedDict, Vec<Code>, MergeKind) {
     let empty = SortedDict::empty();
     let part = input.main.parts().first();
     let main_dict = part.map(|p| p.dict(col)).unwrap_or(&empty);
     let main_null = main_dict.len() as Code;
-
-    // Liveness flags per dictionary code.
-    let mut main_used = vec![false; main_dict.len()];
+    let main_code = |pos| part.expect("main origin implies a part").code_at(pos, col);
     let fence = input.l2.published_len();
-    let (l2_used, l2_row_codes) = input.l2.with_column(col, fence, |dict, l2_codes| {
-        (vec![false; dict.len()], l2_codes.to_vec())
-    });
-    let mut l2_used = l2_used;
-    for row in &survivors.rows {
-        match row.origin {
-            Origin::Main(hit) => {
-                let c = part
-                    .expect("main origin implies a part")
-                    .code_at(hit.pos, col);
-                if c < main_null {
-                    main_used[c as usize] = true;
+    input.l2.with_column(col, fence, |l2_dict, l2_codes| {
+        // Liveness flags per dictionary code.
+        let mut main_used = vec![false; main_dict.len()];
+        let mut l2_used = vec![false; l2_dict.len()];
+        for origin in survivors.origins(input.main) {
+            match origin {
+                Origin::Main(hit) => {
+                    let c = main_code(hit.pos);
+                    if c < main_null {
+                        main_used[c as usize] = true;
+                    }
                 }
-            }
-            Origin::L2(pos) => {
-                let c = l2_row_codes[pos as usize];
-                if c != hana_store::L2_NULL_CODE {
-                    l2_used[c as usize] = true;
+                Origin::L2(pos) => {
+                    let c = l2_codes[pos as usize];
+                    if c != hana_store::L2_NULL_CODE {
+                        l2_used[c as usize] = true;
+                    }
                 }
             }
         }
-    }
-
-    let merged = input.l2.with_column(col, fence, |dict, _| {
-        merge_dicts_filtered(main_dict, Some(&main_used), dict, Some(&l2_used))
-    });
-    let new_null = merged.dict.len() as Code;
-    let new_codes: Vec<Code> = survivors
-        .rows
-        .iter()
-        .map(|row| match row.origin {
-            Origin::Main(hit) => {
-                let c = part
-                    .expect("main origin implies a part")
-                    .code_at(hit.pos, col);
-                if c >= main_null {
-                    new_null
-                } else {
-                    let m = merged.main_map[c as usize];
-                    debug_assert_ne!(m, DROPPED, "surviving code must map");
-                    m
-                }
+        let merged = merge_dicts_filtered(main_dict, Some(&main_used), l2_dict, Some(&l2_used));
+        let new_null = merged.dict.len() as Code;
+        let mut new_codes = Vec::with_capacity(survivors.len());
+        new_codes.extend(survivors.origins(input.main).map(|origin| {
+            let (c, null, map) = match origin {
+                Origin::Main(hit) => (main_code(hit.pos), main_null, &merged.main_map),
+                Origin::L2(pos) => (
+                    l2_codes[pos as usize],
+                    hana_store::L2_NULL_CODE,
+                    &merged.delta_map,
+                ),
+            };
+            if c == null {
+                new_null
+            } else {
+                let m = map[c as usize];
+                debug_assert_ne!(m, DROPPED, "surviving code must map");
+                m
             }
-            Origin::L2(pos) => {
-                let c = l2_row_codes[pos as usize];
-                if c == hana_store::L2_NULL_CODE {
-                    new_null
-                } else {
-                    let m = merged.delta_map[c as usize];
-                    debug_assert_ne!(m, DROPPED, "surviving code must map");
-                    m
-                }
-            }
-        })
-        .collect();
-    (merged.dict, new_codes, merged.kind)
+        }));
+        (merged.dict, new_codes, merged.kind)
+    })
 }
 
 /// Consolidation path: a multi-part chain is merged by materializing values
 /// (used by the full merge that collapses passive + active mains).
 fn merge_one_column_general(
     input: &MergeInput<'_>,
-    survivors: &SurvivorSet,
+    survivors: &Survivors,
     col: usize,
 ) -> (SortedDict, Vec<Code>, MergeKind) {
-    let values: Vec<Value> = survivors
-        .rows
-        .iter()
-        .map(|r| survivor_value(input, r, col))
-        .collect();
+    let values = survivors.values(input, col);
     let dict = SortedDict::from_values(values.iter().filter(|v| !v.is_null()).cloned().collect());
     let null = dict.len() as Code;
     let codes = values
@@ -226,30 +178,55 @@ fn merge_one_column_general(
     (dict, codes, MergeKind::General)
 }
 
-pub(crate) fn assemble_part(
+/// Assemble a merge's outcome: the survivors' row vectors and the finished
+/// `columns` become one new part, which `chain` places into the new main
+/// chain; `order` is the re-sorting merge's new position per survivor.
+pub(crate) fn finish_merge(
     input: &MergeInput<'_>,
-    survivors: &SurvivorSet,
-    merged: MergedColumns,
-) -> MainStore {
-    let columns: Vec<MainColumnData> = merged
-        .dicts
-        .into_iter()
-        .zip(merged.codes)
-        .map(|(dict, codes)| MainColumnData {
-            dict,
-            base: 0,
-            codes,
+    survivors: Survivors,
+    columns: Vec<MainColumn>,
+    dict_paths: Vec<MergeKind>,
+    order: Option<Vec<u32>>,
+    started: Instant,
+    chain: impl FnOnce(MainPart) -> MainStore,
+) -> DeltaMergeOutcome {
+    let Survivors {
+        keep,
+        first_part,
+        l2_start,
+        row_ids,
+        begins,
+        ends,
+        dropped,
+        from_main,
+        from_l2,
+    } = survivors;
+    let (rows_in, rows_out) = (keep.len(), row_ids.len());
+    let mut start = 0;
+    let main_parts = input.main.parts()[first_part..]
+        .iter()
+        .map(|p| {
+            start += p.len();
+            (p.generation(), start - p.len())
         })
         .collect();
-    let part = MainPart::build(
-        input.generation,
-        columns,
-        survivors.rows.iter().map(|r| r.row_id).collect(),
-        survivors.rows.iter().map(|r| r.begin).collect(),
-        survivors.rows.iter().map(|r| r.end).collect(),
-        input.block_size,
-    );
-    MainStore::from_parts(input.l2.schema().clone(), vec![Arc::new(part)])
+    let row_map = RowMap::new(keep, main_parts, l2_start, order);
+    let part = MainPart::from_columns(input.generation, columns, row_ids, begins, ends);
+    DeltaMergeOutcome {
+        new_main: chain(part),
+        from_main,
+        from_l2,
+        dropped,
+        dict_paths,
+        row_map,
+        metrics: MergeMetrics {
+            duration: started.elapsed(),
+            rows_in,
+            rows_out,
+            columns: input.l2.schema().arity(),
+            parallel_workers: column_workers(input),
+        },
+    }
 }
 
 /// Run a classic merge: old main chain + closed L2-delta → one new main part.
@@ -260,27 +237,23 @@ pub fn classic_merge(
 ) -> Result<DeltaMergeOutcome> {
     debug_assert!(input.l2.is_closed(), "merge consumes a closed L2-delta");
     let started = Instant::now();
-    let rows_in = input.main.total_rows() + input.l2.published_len() as usize;
-    let survivors = collect_survivors(input, mgr, history, input.main.iter_hits())?;
-    let merged = build_merged_columns(input, &survivors);
-    let paths = merged.paths.clone();
-    let workers = merged.workers;
-    let new_main = assemble_part(input, &survivors, merged);
-    let metrics = MergeMetrics::measure(
-        rows_in,
-        survivors.rows.len(),
-        input.l2.schema().arity(),
-        workers,
-        started,
-    );
-    Ok(DeltaMergeOutcome {
-        new_main,
-        from_main: survivors.from_main,
-        from_l2: survivors.from_l2,
-        dropped: survivors.dropped,
-        dict_paths: paths,
-        metrics,
+    let survivors = collect_survivors(input, mgr, history, 0)?;
+    let arity = input.l2.schema().arity();
+    let (columns, paths) = map_indexed(arity, column_workers(input), |col| {
+        let (data, kind) = merge_column(input, &survivors, col);
+        (MainColumn::build(data, input.block_size, None), kind)
     })
+    .into_iter()
+    .unzip();
+    Ok(finish_merge(
+        input,
+        survivors,
+        columns,
+        paths,
+        None,
+        started,
+        |part| MainStore::from_parts(input.l2.schema().clone(), vec![Arc::new(part)]),
+    ))
 }
 
 /// Convenience used by tests and benches: an open, filled L2-delta built

@@ -51,4 +51,4 @@ pub use parallel::{effective_workers, map_indexed};
 pub use partial::partial_merge;
 pub use policy::{decide_delta_merge, decide_l1_merge, MergeDecision};
 pub use resort::{resort_merge, ResortOutcome};
-pub use survivors::MergeInput;
+pub use survivors::{MergeInput, RowMap};

@@ -13,12 +13,12 @@
 //! saving Fig 9's scheduling argument relies on, measured by the Fig-9
 //! bench.
 
-use crate::classic::{DeltaMergeOutcome, MergeMetrics};
-use crate::parallel::{effective_workers, map_indexed};
-use crate::survivors::{collect_survivors, survivor_value, MergeInput};
+use crate::classic::{column_workers, finish_merge, DeltaMergeOutcome};
+use crate::parallel::map_indexed;
+use crate::survivors::{collect_survivors, MergeInput};
 use hana_common::{Result, Value};
 use hana_dict::{Code, MergeKind, SortedDict};
-use hana_store::{HistoryStore, MainColumnData, MainPart, MainStore, PartHit};
+use hana_store::{HistoryStore, MainColumn, MainColumnData, MainPart, MainStore};
 use hana_txn::TxnManager;
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,35 +33,17 @@ pub fn partial_merge(
     let started = Instant::now();
     let passive: Vec<Arc<MainPart>> = input.main.passive_parts().to_vec();
     let passive_count = passive.len();
-    let rows_in =
-        input.main.active_part().map_or(0, |p| p.len()) + input.l2.published_len() as usize;
-
     // Only the active part's rows re-enter the merge.
-    let active_hits = input
-        .main
-        .active_part()
-        .map(|p| {
-            let idx = passive_count;
-            (0..p.len() as u32)
-                .map(move |pos| PartHit { part: idx, pos })
-                .collect::<Vec<_>>()
-        })
-        .unwrap_or_default();
-    let survivors = collect_survivors(input, mgr, history, active_hits.into_iter())?;
+    let survivors = collect_survivors(input, mgr, history, passive_count)?;
 
     let arity = input.l2.schema().arity();
-    let workers = effective_workers(input.parallel).min(arity.max(1));
-    let columns = map_indexed(arity, workers, |col| {
+    let columns = map_indexed(arity, column_workers(input), |col| {
         // Global base past all passive dictionaries — the paper's `n + 1`.
         let base: Code = passive.iter().map(|p| p.dict(col).len() as Code).sum();
 
         // Values of surviving rows; those already in a passive dictionary
         // keep their passive code, the rest form the new active dictionary.
-        let values: Vec<Value> = survivors
-            .rows
-            .iter()
-            .map(|r| survivor_value(input, r, col))
-            .collect();
+        let values = survivors.values(input, col);
         let passive_code = |v: &Value| -> Option<Code> {
             for p in &passive {
                 if let Some(local) = p.dict(col).code_of(v) {
@@ -91,29 +73,22 @@ pub fn partial_merge(
                 }
             })
             .collect();
-        MainColumnData { dict, base, codes }
+        MainColumn::build(MainColumnData { dict, base, codes }, input.block_size, None)
     });
 
-    let active = MainPart::build(
-        input.generation,
+    Ok(finish_merge(
+        input,
+        survivors,
         columns,
-        survivors.rows.iter().map(|r| r.row_id).collect(),
-        survivors.rows.iter().map(|r| r.begin).collect(),
-        survivors.rows.iter().map(|r| r.end).collect(),
-        input.block_size,
-    );
-    let mut parts = passive;
-    parts.push(Arc::new(active));
-    let new_main = MainStore::with_active(input.l2.schema().clone(), parts, passive_count);
-    let metrics = MergeMetrics::measure(rows_in, survivors.rows.len(), arity, workers, started);
-    Ok(DeltaMergeOutcome {
-        new_main,
-        from_main: survivors.from_main,
-        from_l2: survivors.from_l2,
-        dropped: survivors.dropped,
-        dict_paths: vec![MergeKind::General; arity],
-        metrics,
-    })
+        vec![MergeKind::General; arity],
+        None,
+        started,
+        |active| {
+            let mut parts = passive;
+            parts.push(Arc::new(active));
+            MainStore::with_active(input.l2.schema().clone(), parts, passive_count)
+        },
+    ))
 }
 
 #[cfg(test)]

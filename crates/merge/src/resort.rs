@@ -12,37 +12,36 @@
 //! (fewest distinct values first — maximizing run lengths for RLE/cluster
 //! encoding), and rows are sorted lexicographically under that column order.
 
-use crate::classic::{
-    assemble_part, build_merged_columns, DeltaMergeOutcome, MergeMetrics, MergedColumns,
-};
+use crate::classic::{column_workers, finish_merge, merge_column, DeltaMergeOutcome};
 use crate::parallel::map_indexed;
-use crate::survivors::{collect_survivors, MergeInput, SurvivorSet};
+use crate::survivors::{collect_survivors, MergeInput};
 use hana_common::Result;
-use hana_store::HistoryStore;
+use hana_store::{HistoryStore, MainColumn, MainColumnData, MainStore};
 use hana_txn::TxnManager;
+use parking_lot::Mutex;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Outcome of a re-sorting merge.
+/// Outcome of a re-sorting merge. Fig 8's row position mapping table is
+/// the outcome's [`row_map`](DeltaMergeOutcome::row_map): it maps every
+/// surviving input row (old main rows first, then L2 rows) to its position
+/// in the rebuilt main.
 pub struct ResortOutcome {
-    /// The regular merge outcome (new main, counts, drops).
+    /// The regular merge outcome (new main, counts, drops, row map).
     pub merge: DeltaMergeOutcome,
     /// Column order used as the sort key (indexes into the schema).
     pub sort_columns: Vec<usize>,
-    /// Fig 8's row position mapping table: `row_mapping[old] = new`, where
-    /// `old` indexes the pre-sort survivor order (old main rows first, then
-    /// L2 rows) and `new` the position in the rebuilt main.
-    pub row_mapping: Vec<u32>,
 }
 
 /// Choose the sort column order from column statistics.
-pub(crate) fn choose_sort_order(merged: &MergedColumns) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..merged.dicts.len()).collect();
-    order.sort_by_key(|&c| (merged.dicts[c].len(), c));
+fn choose_sort_order(columns: &[MainColumnData]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..columns.len()).collect();
+    order.sort_by_key(|&c| (columns[c].dict.len(), c));
     order
 }
 
-fn apply_permutation<T: Clone>(data: &[T], perm: &[u32]) -> Vec<T> {
-    perm.iter().map(|&old| data[old as usize].clone()).collect()
+fn apply_permutation<T: Copy>(data: &[T], perm: &[u32]) -> Vec<T> {
+    perm.iter().map(|&old| data[old as usize]).collect()
 }
 
 /// Run a re-sorting merge.
@@ -53,19 +52,25 @@ pub fn resort_merge(
 ) -> Result<ResortOutcome> {
     debug_assert!(input.l2.is_closed(), "merge consumes a closed L2-delta");
     let started = Instant::now();
-    let rows_in = input.main.total_rows() + input.l2.published_len() as usize;
-    let survivors = collect_survivors(input, mgr, history, input.main.iter_hits())?;
-    let mut merged = build_merged_columns(input, &survivors);
-    let sort_columns = choose_sort_order(&merged);
+    let mut survivors = collect_survivors(input, mgr, history, 0)?;
+    // The sort looks at several columns at once, so every column's codes
+    // stay unpacked until the permutation is known.
+    let arity = input.l2.schema().arity();
+    let workers = column_workers(input);
+    let (columns, paths): (Vec<MainColumnData>, Vec<_>) =
+        map_indexed(arity, workers, |col| merge_column(input, &survivors, col))
+            .into_iter()
+            .unzip();
+    let sort_columns = choose_sort_order(&columns);
 
     // perm[new] = old survivor index, sorted lexicographically by the chosen
     // column order. Sorted-dictionary codes are order-preserving, so
     // comparing codes compares values.
-    let n = survivors.rows.len();
+    let n = survivors.len();
     let mut perm: Vec<u32> = (0..n as u32).collect();
     perm.sort_by(|&a, &b| {
         for &c in &sort_columns {
-            let col = &merged.codes[c];
+            let col = &columns[c].codes;
             match col[a as usize].cmp(&col[b as usize]) {
                 std::cmp::Ordering::Equal => continue,
                 other => return other,
@@ -80,39 +85,30 @@ pub fn resort_merge(
         row_mapping[old as usize] = new as u32;
     }
 
-    // Permute every column (fanned out like the rebuild: each column's
-    // permutation is independent) and the row metadata.
-    merged.codes = map_indexed(merged.codes.len(), merged.workers, |c| {
-        apply_permutation(&merged.codes[c], &perm)
+    // Permute and pack every column (fanned out like the rebuild: each
+    // column's permutation is independent) and the row metadata.
+    let unpacked: Vec<Mutex<Option<MainColumnData>>> =
+        columns.into_iter().map(|c| Mutex::new(Some(c))).collect();
+    let columns = map_indexed(arity, workers, |c| {
+        let mut data = unpacked[c].lock().take().expect("each column packs once");
+        data.codes = apply_permutation(&data.codes, &perm);
+        MainColumn::build(data, input.block_size, None)
     });
-    let rows = apply_permutation(&survivors.rows, &perm);
-    let permuted = SurvivorSet {
-        rows,
-        dropped: survivors.dropped.clone(),
-        from_main: survivors.from_main,
-        from_l2: survivors.from_l2,
-    };
-    let paths = merged.paths.clone();
-    let workers = merged.workers;
-    let new_main = assemble_part(input, &permuted, merged);
-    let metrics = MergeMetrics::measure(
-        rows_in,
-        permuted.rows.len(),
-        input.l2.schema().arity(),
-        workers,
+    survivors.row_ids = apply_permutation(&survivors.row_ids, &perm);
+    survivors.begins = apply_permutation(&survivors.begins, &perm);
+    survivors.ends = apply_permutation(&survivors.ends, &perm);
+    let merge = finish_merge(
+        input,
+        survivors,
+        columns,
+        paths,
+        Some(row_mapping),
         started,
+        |part| MainStore::from_parts(input.l2.schema().clone(), vec![Arc::new(part)]),
     );
     Ok(ResortOutcome {
-        merge: DeltaMergeOutcome {
-            new_main,
-            from_main: survivors.from_main,
-            from_l2: survivors.from_l2,
-            dropped: survivors.dropped,
-            dict_paths: paths,
-            metrics,
-        },
+        merge,
         sort_columns,
-        row_mapping,
     })
 }
 
@@ -185,7 +181,7 @@ mod tests {
         .iter()
         .enumerate()
         {
-            let new = out.row_mapping[old] as u32;
+            let new = out.merge.row_map.l2_pos(old as u32).unwrap();
             let row = m.row_at(PartHit { part: 0, pos: new });
             assert_eq!(
                 row,
@@ -250,7 +246,7 @@ mod tests {
             parallel: 2,
         };
         let out = resort_merge(&input, &mgr, None).unwrap();
-        assert_eq!(out.row_mapping, vec![0]);
+        assert_eq!(out.merge.row_map.l2_pos(0), Some(0));
         assert_eq!(out.merge.new_main.total_rows(), 1);
     }
 }

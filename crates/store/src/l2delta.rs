@@ -5,8 +5,8 @@
 //! unsorted requiring secondary index structures to optimally support point
 //! query access patterns."* Appends never reorganize anything — new values
 //! go to the end of the dictionary, new codes to the end of the value
-//! vector, new positions to the end of the inverted lists. Readers capture a
-//! row-count fence and are never invalidated.
+//! vector, new positions onto the front of their code's inverted-index
+//! chain. Readers capture a row-count fence and are never invalidated.
 //!
 //! NULLs are stored as [`L2_NULL_CODE`] in the value vector and never enter
 //! the dictionary or the inverted index.
@@ -179,39 +179,36 @@ impl L2Delta {
             )));
         }
         let mut inner = self.inner.write();
-        let first = inner.row_ids.len() as Pos;
-        let arity = self.schema.arity();
-        // Phase 1: reserve dictionary codes for all values of all columns.
-        let mut code_matrix: Vec<Vec<Code>> = Vec::with_capacity(arity);
-        for c in 0..arity {
-            let col = &mut inner.columns[c];
-            let mut codes = Vec::with_capacity(rows.len());
+        let first = inner.row_ids.len();
+        // Column by column (independent, and positions are pre-known):
+        // reserve dictionary codes for the batch's values while appending
+        // the value vector, then chain the new positions into the index.
+        for (c, col) in inner.columns.iter_mut().enumerate() {
+            col.codes.reserve(rows.len());
             for (_, row, _, _) in rows {
-                if row[c].is_null() {
-                    codes.push(L2_NULL_CODE);
+                let v = &row[c];
+                col.codes.push(if v.is_null() {
+                    L2_NULL_CODE
                 } else {
-                    codes.push(col.dict.get_or_insert(&row[c]));
-                }
+                    col.dict.get_or_insert(v)
+                });
             }
-            code_matrix.push(codes);
-        }
-        // Phase 2: append value vectors and inverted lists (could run
-        // column-parallel; positions are pre-known).
-        for (c, codes) in code_matrix.into_iter().enumerate() {
-            let col = &mut inner.columns[c];
-            for (k, code) in codes.into_iter().enumerate() {
-                col.codes.push(code);
+            col.invidx.reserve(col.dict.len(), rows.len());
+            for (pos, &code) in col.codes.iter().enumerate().skip(first) {
                 if code != L2_NULL_CODE {
-                    col.invidx.insert(code, first + k as Pos);
+                    col.invidx.insert(code, pos as Pos);
                 }
             }
         }
+        inner.row_ids.reserve(rows.len());
+        inner.begins.reserve(rows.len());
+        inner.ends.reserve(rows.len());
         for (row_id, _, begin, end) in rows {
             inner.row_ids.push(*row_id);
             inner.begins.push(AtomicU64::new(*begin));
             inner.ends.push(AtomicU64::new(*end));
         }
-        Ok(first)
+        Ok(first as Pos)
     }
 
     /// The stable record id at `pos`.
@@ -281,23 +278,18 @@ impl L2Delta {
             .collect()
     }
 
-    /// Positions (≤ `fence`) whose `col` equals `v`, via dictionary + inverted
+    /// Positions (< `fence`) whose `col` equals `v`, via dictionary + inverted
     /// index — the paper's point-query path through the secondary index.
     pub fn positions_eq(&self, col: usize, v: &Value, fence: Pos) -> Vec<Pos> {
         let inner = self.inner.read();
-        let Some(code) = inner.columns[col].dict.code_of(v) else {
-            return Vec::new();
-        };
-        inner.columns[col]
-            .invidx
-            .positions(code)
-            .iter()
-            .copied()
-            .take_while(|&p| p < fence)
-            .collect()
+        let col = &inner.columns[col];
+        match col.dict.code_of(v) {
+            Some(code) => col.invidx.positions(code, fence),
+            None => Vec::new(),
+        }
     }
 
-    /// Positions (≤ `fence`) whose `col` lies in `[lo, hi]` bounds. The
+    /// Positions (< `fence`) whose `col` lies in `[lo, hi]` bounds. The
     /// unsorted dictionary gives no code-order shortcut: resolve matching
     /// codes by value comparison, then use the inverted lists.
     pub fn positions_range(
@@ -324,14 +316,7 @@ impl L2Delta {
         let mut out = Vec::new();
         for (code, v) in colref.dict.values().iter().enumerate() {
             if in_range(v) {
-                out.extend(
-                    colref
-                        .invidx
-                        .positions(code as Code)
-                        .iter()
-                        .copied()
-                        .take_while(|&p| p < fence),
-                );
+                out.extend(colref.invidx.positions(code as Code, fence));
             }
         }
         out.sort_unstable();
@@ -383,31 +368,21 @@ impl L2Delta {
         f(&view)
     }
 
-    /// Snapshot of all MVCC stamps up to `fence` (used by merges).
-    pub fn stamps(&self, fence: Pos) -> Vec<(RowId, Timestamp, Timestamp)> {
-        let inner = self.inner.read();
-        let n = (fence as usize).min(inner.row_ids.len());
-        (0..n)
-            .map(|i| {
-                (
-                    inner.row_ids[i],
-                    inner.begins[i].load(Ordering::Acquire),
-                    inner.ends[i].load(Ordering::Acquire),
-                )
-            })
-            .collect()
-    }
-
-    /// Approximate heap footprint in bytes (dictionaries + value vectors +
-    /// inverted indexes + stamps).
+    /// Heap footprint in bytes, by capacity: dictionaries, value vectors,
+    /// inverted indexes, record ids and both stamp vectors.
     pub fn approx_bytes(&self) -> usize {
         let inner = self.inner.read();
         let cols: usize = inner
             .columns
             .iter()
-            .map(|c| c.dict.heap_size() + c.codes.capacity() * 4 + c.invidx.heap_size())
+            .map(|c| {
+                c.dict.heap_size()
+                    + c.codes.capacity() * std::mem::size_of::<Code>()
+                    + c.invidx.heap_size()
+            })
             .sum();
-        cols + inner.row_ids.capacity() * 8 + inner.begins.capacity() * 16
+        cols + inner.row_ids.capacity() * std::mem::size_of::<RowId>()
+            + (inner.begins.capacity() + inner.ends.capacity()) * std::mem::size_of::<AtomicU64>()
     }
 }
 
@@ -560,8 +535,11 @@ mod tests {
         let d = sample();
         d.store_end(1, 99);
         assert_eq!(d.end(1), 99);
-        let stamps = d.stamps(4);
-        assert_eq!(stamps[1], (RowId(1), 10, 99));
+        d.with_columns_stamped(&[], 4, |view| {
+            assert_eq!(view.row_ids[1], RowId(1));
+            assert_eq!(view.begins[1].load(Ordering::Acquire), 10);
+            assert_eq!(view.ends[1].load(Ordering::Acquire), 99);
+        });
     }
 
     #[test]

@@ -20,4 +20,4 @@ pub mod mainstore;
 
 pub use history::{HistoricVersion, HistoryStore};
 pub use l2delta::{L2Delta, L2View, L2_NULL_CODE};
-pub use mainstore::{MainColumnData, MainPart, MainStore, PartHit, VisBitmap};
+pub use mainstore::{MainColumn, MainColumnData, MainPart, MainStore, PartHit, VisBitmap};

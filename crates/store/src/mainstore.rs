@@ -98,7 +98,11 @@ pub struct MainColumnData {
     pub codes: Vec<Code>,
 }
 
-struct MainColumn {
+/// One finished column of a part: dictionary, compressed code vector,
+/// inverted index and zone map. Building one from [`MainColumnData`]
+/// consumes the raw code vector, so a merge that finishes each column as
+/// soon as it is merged holds one raw vector per worker, not per column.
+pub struct MainColumn {
     dict: SortedDict,
     base: Code,
     codes: CodeVector,
@@ -107,6 +111,26 @@ struct MainColumn {
     /// [`hana_column::zonemap`]); built at merge time, persisted in
     /// savepoint images.
     zones: ZoneMap,
+}
+
+impl MainColumn {
+    /// Pack `data` for a part: choose the code vector's encoding (blocks of
+    /// `block_size` for the cluster encoding), build the inverted index, and
+    /// take `zones` or compute the zone map.
+    pub fn build(data: MainColumnData, block_size: usize, zones: Option<ZoneMap>) -> Self {
+        let null_code = data.base + data.dict.len() as Code;
+        let stats = CodeStats::compute(&data.codes);
+        debug_assert!(stats.max_code <= null_code);
+        let invidx = InvertedIndex::build(data.codes.iter().copied(), null_code as usize + 1);
+        let zones = zones.unwrap_or_else(|| ZoneMap::build(&data.codes, null_code));
+        MainColumn {
+            codes: CodeVector::choose(&data.codes, &stats, block_size),
+            dict: data.dict,
+            base: data.base,
+            invidx,
+            zones,
+        }
+    }
 }
 
 /// One immutable main structure (a passive or active main).
@@ -175,9 +199,6 @@ impl MainPart {
         block_size: usize,
         zones: Option<Vec<ZoneMap>>,
     ) -> Self {
-        let n = row_ids.len();
-        assert_eq!(begins.len(), n);
-        assert_eq!(ends.len(), n);
         if let Some(z) = &zones {
             assert_eq!(z.len(), columns.len(), "zone map arity mismatch");
         }
@@ -185,25 +206,32 @@ impl MainPart {
         let columns = columns
             .into_iter()
             .map(|c| {
-                assert_eq!(c.codes.len(), n, "column length mismatch");
-                let null_code = c.base + c.dict.len() as Code;
-                let stats = CodeStats::compute(&c.codes);
-                debug_assert!(stats.max_code <= null_code);
-                let invidx = InvertedIndex::build(c.codes.iter().copied(), null_code as usize + 1);
-                let zones = match &mut zones {
-                    Some(it) => it.next().expect("zone map arity checked above"),
-                    None => ZoneMap::build(&c.codes, null_code),
-                };
-                let codes = CodeVector::choose(&c.codes, &stats, block_size);
-                MainColumn {
-                    dict: c.dict,
-                    base: c.base,
-                    codes,
-                    invidx,
-                    zones,
-                }
+                let zones = zones
+                    .as_mut()
+                    .map(|it| it.next().expect("zone map arity checked above"));
+                MainColumn::build(c, block_size, zones)
             })
             .collect();
+        Self::from_columns(generation, columns, row_ids, begins, ends)
+    }
+
+    /// A part from finished columns and its rows' MVCC stamps.
+    ///
+    /// # Panics
+    /// Panics if column/stamp lengths disagree.
+    pub fn from_columns(
+        generation: u64,
+        columns: Vec<MainColumn>,
+        row_ids: Vec<RowId>,
+        begins: Vec<Timestamp>,
+        ends: Vec<Timestamp>,
+    ) -> Self {
+        let n = row_ids.len();
+        assert_eq!(begins.len(), n);
+        assert_eq!(ends.len(), n);
+        for c in &columns {
+            assert_eq!(c.codes.len(), n, "column length mismatch");
+        }
         let mut max_begin = 0;
         let mut begins_marked = false;
         for &b in &begins {

@@ -16,10 +16,17 @@
 //! * per-write latency stays bounded while merges publish (the
 //!   non-blocking pipeline's constant-time swap).
 //!
+//! A second phase churns a settled ~100k-row main instead, so that delta
+//! merges build for longer than a GC cycle and race the commit-table trim.
+//!
 //! `CHURN_UPDATES` scales the run: per-push CI uses the default (~60k),
-//! nightly runs ≥1M (see `nightly.yml`).
+//! nightly runs ≥1M (see `nightly.yml`); the settled-main phase takes a
+//! quarter of it.
 
-use hana_common::{ColumnDef, ColumnId, DataType, PartitionConfig, Schema, TableConfig, Value};
+use hana_common::{
+    ColumnDef, ColumnId, DataType, MergeConfig, MergeStrategy, PartitionConfig, Schema,
+    TableConfig, Value,
+};
 use hana_core::Database;
 use hana_txn::IsolationLevel;
 use parking_lot::Mutex;
@@ -217,6 +224,153 @@ fn churn_fixed_working_set_flat_memory() {
     table.force_full_merge().unwrap();
     let s = table.stage_stats();
     assert_eq!(s.main_rows as i64, WORKING_SET, "full merge settles: {s:?}");
+}
+
+/// Updates of main-resident keys while classic delta merges rebuild a
+/// ~100k-row, 8-column main (one column worker) and the GC trims the commit
+/// table. Each merge builds for longer than two GC cycles, so deletions it
+/// replays into its unpublished main as marks race the trim of their
+/// writers' commit-table entries (the merge floor in `hana_core::gc`): a
+/// lost entry resolves the copied mark as aborted and revives the old
+/// version next to the new one. Every snapshot must see exactly the
+/// settled rows, no point read may return two versions of a key, and no
+/// update may fail on "more than one visible row".
+#[test]
+fn churn_over_a_settled_main_races_merges_and_gc() {
+    const MAIN_ROWS: i64 = 100_000;
+    let budget = updates_budget() / 4;
+    let db = Database::in_memory();
+    let cfg = TableConfig {
+        l1_max_rows: 256,
+        l2_max_rows: 2_048,
+        merge_strategy: MergeStrategy::Classic,
+        merge: MergeConfig::default().with_column_parallelism(1),
+        ..TableConfig::default()
+    };
+    let mut cols = schema().columns().to_vec();
+    for name in ["customer", "product", "amount", "quantity"] {
+        cols.push(ColumnDef::new(name, DataType::Int));
+    }
+    for name in ["city", "currency"] {
+        cols.push(ColumnDef::new(name, DataType::Str));
+    }
+    let table = db
+        .create_table(Schema::new("sales", cols).unwrap(), cfg)
+        .unwrap();
+    let mut txn = db.begin(IsolationLevel::Transaction);
+    let rows: Vec<Vec<Value>> = (0..MAIN_ROWS)
+        .map(|i| {
+            vec![
+                Value::Int(i),
+                Value::Int(0),
+                Value::Int(i % 10_000),
+                Value::Int(i % 1_000),
+                Value::Int(i * 7 % 10_000),
+                Value::Int(i % 20),
+                Value::str(format!("city{}", i % 16)),
+                Value::str(format!("cur{}", i % 5)),
+            ]
+        })
+        .collect();
+    table.bulk_load(&txn, rows).unwrap();
+    db.commit(&mut txn).unwrap();
+    table.force_full_merge().unwrap();
+    let settled = table.last_merge_metrics();
+
+    db.enable_gc();
+    db.start_merge_daemon(Duration::from_millis(1));
+
+    let committed = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let anomalies: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for w in 0..WRITERS as u64 {
+            let (db, table, committed, anomalies) = (&db, &table, &committed, &anomalies);
+            scope.spawn(move || {
+                let mut seed = w.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(13);
+                let mut next = || {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    seed
+                };
+                while committed.load(Ordering::Relaxed) < budget {
+                    let key = Value::Int((next() % MAIN_ROWS as u64) as i64);
+                    let mut txn = db.begin(IsolationLevel::Transaction);
+                    let result = (|| -> hana_common::Result<()> {
+                        let row = table.read(&txn).point(0, &key)?;
+                        if row.len() != 1 {
+                            anomalies
+                                .lock()
+                                .push(format!("point {key} saw {} versions", row.len()));
+                            return Ok(());
+                        }
+                        let hits = row[0][1].as_int().unwrap();
+                        table.update_where(
+                            &txn,
+                            ColumnId(0),
+                            &key,
+                            &[(ColumnId(1), Value::Int(hits + 1))],
+                        )?;
+                        Ok(())
+                    })();
+                    match result {
+                        Ok(()) => {
+                            db.commit(&mut txn).unwrap();
+                            committed.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(e) => {
+                            if e.to_string().contains("more than one visible row") {
+                                anomalies.lock().push(format!("update {key}: {e}"));
+                            }
+                            let _ = db.abort(&mut txn);
+                        }
+                    }
+                }
+            });
+        }
+        // Every snapshot sees exactly the settled rows.
+        let (db, table, stop, anomalies) = (&db, &table, &stop, &anomalies);
+        scope.spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                let r = db.begin(IsolationLevel::Transaction);
+                let count = table.read(&r).count();
+                if count != MAIN_ROWS as usize {
+                    anomalies
+                        .lock()
+                        .push(format!("snapshot {} saw {count} rows", r.begin_ts()));
+                }
+            }
+        });
+        while committed.load(Ordering::Relaxed) < budget {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    db.stop_merge_daemon();
+
+    let anomalies = anomalies.into_inner();
+    assert!(
+        anomalies.is_empty(),
+        "{} anomalies, first: {:?}",
+        anomalies.len(),
+        &anomalies[..anomalies.len().min(5)]
+    );
+    assert_ne!(
+        table.last_merge_metrics(),
+        settled,
+        "no delta merge published during the churn"
+    );
+    let gc = db.gc_stats().expect("gc enabled");
+    assert!(gc.txn_entries_trimmed > 0, "gc trimmed nothing: {gc:?}");
+    let r = db.begin(IsolationLevel::Transaction);
+    let (count, sum) = table.read(&r).aggregate_numeric(1).unwrap();
+    assert_eq!(count as i64, MAIN_ROWS, "rows drifted");
+    assert_eq!(
+        sum as usize,
+        committed.load(Ordering::Relaxed),
+        "lost or duplicated update"
+    );
 }
 
 /// The background integrity scrub rides the merge daemon under durable
