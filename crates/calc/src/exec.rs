@@ -15,15 +15,15 @@
 //! row-only operators (`Custom`, `Conv`, `SplitCombine`, `Union`, a join
 //! whose consumer reads rows); the row-at-a-time `aggregate`/`hash_join`
 //! below serve inputs that are not scan-rooted and are the reference the
-//! batch folds are tested against. `SplitCombine` nodes fan out across
-//! threads and re-aggregate.
+//! batch folds are tested against. `SplitCombine` nodes run their
+//! partitions over the scan pool and re-aggregate.
 //!
 //! [`TableRead`]: hana_core::TableRead
 
 use crate::expr::{AggFunc, AggState, Predicate};
 use crate::graph::{CalcGraph, CalcNode, NodeId, PipeOp, ScanSource};
 use hana_common::{HanaError, Result, Value};
-use hana_core::{ColumnPredicate, ScanStats, TableRead};
+use hana_core::{effective_workers, map_indexed, ColumnPredicate, ScanStats, TableRead};
 use hana_txn::Snapshot;
 use rustc_hash::FxHashMap;
 use std::hash::{Hash, Hasher};
@@ -492,22 +492,16 @@ fn split_combine(
 ) -> Result<ResultSet> {
     let ways = ways.max(1);
     // Split: hash-partition rows.
-    let mut partitions: Vec<Vec<Vec<Value>>> = vec![Vec::new(); ways];
+    let mut partitions: Vec<Vec<&Vec<Value>>> = vec![Vec::new(); ways];
     for row in &input.rows {
         let mut h = rustc_hash::FxHasher::default();
         row[split_col].hash(&mut h);
-        partitions[(h.finish() % ways as u64) as usize].push(row.clone());
+        partitions[(h.finish() % ways as u64) as usize].push(row);
     }
-    // Run the body per partition in parallel.
-    let results: Vec<Result<PartitionOut>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = partitions
-            .into_iter()
-            .map(|part| scope.spawn(move || run_body(part, body)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("partition worker panicked"))
-            .collect()
+    // Run the body per partition on the scan pool (at most one worker per
+    // partition and per core, inline on one), results in partition order.
+    let results = map_indexed(ways, effective_workers(0), |i| {
+        run_body(partitions[i].iter().map(|&row| row.clone()).collect(), body)
     });
     // Combine.
     let mut plain_rows = Vec::new();

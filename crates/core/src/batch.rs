@@ -1,14 +1,16 @@
 //! The batch scan: the one loop every analytical read runs through.
 //!
 //! A statement's visible rows are served as **column batches**, one per
-//! scan unit — a 16Ki-row chunk of a main part (never crossing parts), the
-//! frozen L2-delta, the open L2-delta, the L1-delta — oldest store to
+//! scan unit — a 16Ki-row chunk of a main part (never crossing parts; an
+//! index-routed unit narrows to the window its hits span), the frozen
+//! L2-delta, the open L2-delta, the L1-delta — oldest store to
 //! newest, matching merge order. Per unit the scan
 //!
 //! 1. decides the pushed-down conjuncts in the code domain
 //!    ([`ColumnPredicate`] compiled per part / per L2 dictionary, zone maps
-//!    pruning parts and chunks first, a non-null `Eq` routed through the
-//!    inverted index instead of a kernel) into a hit bitmap,
+//!    pruning parts and chunks first) into a hit bitmap — one routing rule
+//!    for every column stage: a non-null `Eq` walks the inverted index of
+//!    its code (main and L2 alike) instead of testing every row,
 //! 2. ANDs the snapshot-visibility resolution into it word-wise — the
 //!    **selection**,
 //! 3. decodes each requested column *for the selected rows only*, as
@@ -22,8 +24,9 @@
 //! main units, else whole shards); the per-unit fold results come back **in
 //! shard order, then unit order**, so whatever the caller combines from them
 //! is independent of the worker count. [`TableRead::scan_filtered`],
-//! `collect_rows*`, `aggregate_numeric` and `group_aggregate` are thin
-//! folds over this scan, and so is the calc layer's aggregate/join executor.
+//! `collect_rows*`, `point`, `range`, `aggregate_numeric` and
+//! `group_aggregate` are thin folds over this scan, and so is the calc
+//! layer's aggregate/join executor.
 
 use crate::filter::{zone_admits, ColumnPredicate, ScanStats};
 use crate::read::{concat, Shard, TableRead, VisibleRow};
@@ -356,6 +359,15 @@ struct MainUnit {
     seed: Option<Bitmap>,
 }
 
+/// The conjunct a scan routes through the inverted indexes: the first
+/// non-null `Eq` (a NULL never enters a dictionary).
+fn eq_route(preds: &[ColumnPredicate]) -> Option<(usize, &Value)> {
+    preds.iter().find_map(|p| match p {
+        ColumnPredicate::Eq(c, v) if !v.is_null() => Some((*c, v)),
+        _ => None,
+    })
+}
+
 /// Decode the selected rows of window `[start, start + hits.len())`.
 fn selected_codes(cv: &CodeVector, start: usize, hits: &Bitmap, nsel: usize) -> Vec<Code> {
     let n = hits.len();
@@ -443,9 +455,11 @@ impl Shard {
     }
 
     /// The main chunks a scan has to touch. Without conjuncts: all of
-    /// them. With a non-null `Eq` conjunct: the chunks its inverted-index
-    /// lists hit, seeded with those hits. Otherwise: what the part- and
-    /// chunk-level zone maps cannot rule out.
+    /// them. With a non-null `Eq` conjunct: per chunk its inverted-index
+    /// lists hit, the window from the word holding the first hit to the
+    /// last hit, seeded with those hits — a point lookup's unit is a word,
+    /// not a chunk. Otherwise: what the part- and chunk-level zone maps
+    /// cannot rule out.
     fn plan_main(
         &self,
         preds: &[ColumnPredicate],
@@ -454,41 +468,34 @@ impl Shard {
     ) -> Vec<MainUnit> {
         let parts = self.main.parts();
         let unseeded = |chunk| MainUnit { chunk, seed: None };
-        if preds.is_empty() {
+        if preds.is_empty() || parts.is_empty() {
             return plan_chunks(parts).into_iter().map(unseeded).collect();
         }
-        let eq_route = preds.iter().find_map(|p| match p {
-            ColumnPredicate::Eq(c, v) if !v.is_null() => Some((*c, v)),
-            _ => None,
-        });
-        if let Some((col, v)) = eq_route {
+        if let Some((col, v)) = eq_route(preds) {
             stats.index_probes += 1;
             let mut units: Vec<MainUnit> = Vec::new();
             let Some((owner, code)) = self.main.code_of_value(col, v) else {
                 return units;
             };
+            let chunk_of = |pos: Pos| pos as usize / SCAN_CHUNK_ROWS;
             // The owner's code is valid in its own and every later part.
             for (pi, part) in parts.iter().enumerate().skip(owner) {
                 let hits = part.positions_of_code(col, code);
                 stats.code_filtered_rows += hits.len() as u64;
-                for &pos in hits {
-                    let start = pos - pos % SCAN_CHUNK_ROWS as Pos;
-                    if units
-                        .last()
-                        .is_none_or(|u| u.chunk.part != pi || u.chunk.start != start)
-                    {
-                        let end = (start as usize + SCAN_CHUNK_ROWS).min(part.len()) as Pos;
-                        units.push(MainUnit {
-                            chunk: ScanChunk {
-                                part: pi,
-                                start,
-                                end,
-                            },
-                            seed: Some(Bitmap::zeros((end - start) as usize)),
-                        });
-                    }
-                    let seed = units.last_mut().and_then(|u| u.seed.as_mut());
-                    seed.expect("unit pushed above").set((pos - start) as usize);
+                for group in hits.chunk_by(|&a, &b| chunk_of(a) == chunk_of(b)) {
+                    let (start, end) = (group[0] & !63, group[group.len() - 1] + 1);
+                    let mut seed = Bitmap::zeros((end - start) as usize);
+                    group
+                        .iter()
+                        .for_each(|&pos| seed.set((pos - start) as usize));
+                    units.push(MainUnit {
+                        chunk: ScanChunk {
+                            part: pi,
+                            start,
+                            end,
+                        },
+                        seed: Some(seed),
+                    });
                 }
             }
             return units;
@@ -582,9 +589,13 @@ impl Shard {
         let produced = map_indexed(units.len(), workers, |ui| {
             // Chunk-boundary cooperation: surrender the timeslice when a
             // committer entered the pipeline, so a long scan never
-            // monopolizes the pool while the commit path queues.
-            let mut seen = scan_epoch;
-            self.table.governor.chunk_yield(&mut seen);
+            // monopolizes the pool while the commit path queues. The first
+            // unit follows no boundary: a one-unit read (a point lookup)
+            // never cedes.
+            if ui > 0 {
+                let mut seen = scan_epoch;
+                self.table.governor.chunk_yield(&mut seen);
+            }
             let MainUnit { chunk: ch, seed } = &units[ui];
             let part = &parts[ch.part];
             let (start, n) = (ch.start as usize, (ch.end - ch.start) as usize);
@@ -664,7 +675,10 @@ impl Shard {
 
     /// One L2-delta as one unit: the dictionaries are probed once per
     /// conjunct into code sets, rows are tested on raw codes, and the
-    /// batch borrows the dictionaries under the same lock acquisition.
+    /// batch borrows the dictionaries under the same lock acquisition. A
+    /// non-null `Eq` routes as in the main: only the rows on its code's
+    /// inverted-index chain are tested, checked for visibility and
+    /// gathered.
     fn scan_l2<T>(
         &self,
         snap: &Snapshot,
@@ -678,8 +692,17 @@ impl Shard {
             return None;
         }
         let preds = spec.preds;
-        if !preds.is_empty() {
-            stats.code_filtered_rows += fence as u64;
+        // Rows below the fence never move, so the chain read under its own
+        // lock acquisition stays valid in the view taken below.
+        let chain = eq_route(preds).map(|(col, v)| {
+            stats.index_probes += 1;
+            l2.positions_eq(col, v, fence)
+        });
+        match &chain {
+            Some(chain) if chain.is_empty() => return None,
+            Some(chain) => stats.code_filtered_rows += chain.len() as u64,
+            None if !preds.is_empty() => stats.code_filtered_rows += fence as u64,
+            None => {}
         }
         let cols: Vec<usize> = preds
             .iter()
@@ -697,18 +720,20 @@ impl Shard {
             }
             // Visibility resolves inside the closure: it only touches the
             // txn manager, never the L2 lock.
-            let sel: Vec<usize> = (0..view.row_ids.len())
-                .filter(|&pos| {
-                    ms.iter()
-                        .zip(&view.cols)
-                        .all(|(m, (_, codes))| m.matches(codes[pos]))
-                        && self.visible(
-                            snap,
-                            view.begins[pos].load(Acquire),
-                            view.ends[pos].load(Acquire),
-                        )
-                })
-                .collect();
+            let keep = |&pos: &usize| {
+                ms.iter()
+                    .zip(&view.cols)
+                    .all(|(m, (_, codes))| m.matches(codes[pos]))
+                    && self.visible(
+                        snap,
+                        view.begins[pos].load(Acquire),
+                        view.ends[pos].load(Acquire),
+                    )
+            };
+            let sel: Vec<usize> = match &chain {
+                Some(chain) => chain.iter().map(|&pos| pos as usize).filter(keep).collect(),
+                None => (0..view.row_ids.len()).filter(keep).collect(),
+            };
             if sel.is_empty() {
                 return None;
             }
@@ -758,20 +783,20 @@ impl Shard {
         fold: &impl Fn(ColumnBatch<'_>) -> T,
         stats: &mut ScanStats,
     ) -> Option<T> {
-        let mut slots: Vec<&Slot> = Vec::new();
-        for (_, slot) in self.l1.iter() {
-            if !spec.preds.is_empty() {
-                stats.rowwise_rows += 1;
-            }
-            if spec
-                .preds
-                .iter()
-                .all(|p| p.matches_value(&slot.values[p.column()]))
-                && self.visible(snap, slot.begin(), slot.end())
-            {
-                slots.push(slot);
-            }
+        if !spec.preds.is_empty() {
+            stats.rowwise_rows += self.l1.len() as u64;
         }
+        let slots = match spec.preds {
+            // A lone non-null `Eq` — every point lookup — compares values
+            // directly: the L1 scan is the point path's per-row cost, and a
+            // non-null literal never equals a NULL cell.
+            [ColumnPredicate::Eq(c, w)] if !w.is_null() => {
+                self.l1_visible(snap, |vals| vals[*c] == *w)
+            }
+            preds => self.l1_visible(snap, |vals| {
+                preds.iter().all(|p| p.matches_value(&vals[p.column()]))
+            }),
+        };
         if slots.is_empty() {
             return None;
         }
@@ -800,6 +825,17 @@ impl Shard {
             row_ids,
             len: slots.len(),
         }))
+    }
+
+    /// The visible L1 slots whose values satisfy `keep`.
+    fn l1_visible(&self, snap: &Snapshot, keep: impl Fn(&[Value]) -> bool) -> Vec<&Slot> {
+        let mut slots = Vec::new();
+        for (_, slot) in self.l1.iter() {
+            if keep(&slot.values) && self.visible(snap, slot.begin(), slot.end()) {
+                slots.push(slot);
+            }
+        }
+        slots
     }
 }
 

@@ -62,6 +62,8 @@ pub use database::Database;
 pub use filter::{ColumnPredicate, ScanStats, ScanWork};
 pub use gc::{GcShared, GcStats, TableGc};
 pub use governor::{ResourceGovernor, ScanPermit};
+// The scan pool's fan-out, for the engine layer's partition-parallel nodes.
+pub use hana_merge::{effective_workers, map_indexed};
 pub use lifecycle::StageStats;
 pub use loc::Loc;
 pub use partition::PartitionedTable;

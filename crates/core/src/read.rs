@@ -13,27 +13,27 @@
 //!
 //! A single table is a one-shard read. One rule decides the fan-out
 //! ([`TableRead::fan_out`]): several shards go over the pool, each serving
-//! its units serially; a lone shard puts its units (16Ki-row chunks, point
-//! hit ranges) over the pool. Results come back in shard order, then unit
-//! order, so every answer is independent of the worker count.
+//! its units serially; a lone shard puts its units (16Ki-row chunks) over
+//! the pool. Results come back in shard order, then unit order, so every
+//! answer is independent of the worker count.
 //!
-//! Scans, projections and the columnar aggregates are folds over the one
-//! [batch scan](crate::batch); this module keeps what is not a scan: opening
-//! a view, per-part visibility resolution (the wholly-visible summary or a
-//! per-snapshot bitmap cached on the part and advanced over its end-write
-//! log, see [`PartVisibility::resolve`]), and the point/range paths through
-//! the dictionaries and inverted indexes.
+//! Scans, projections, point and range lookups and the columnar aggregates
+//! are folds over the one [batch scan](crate::batch); this module keeps what
+//! is not a scan: opening a view, counting, and per-part visibility
+//! resolution (the wholly-visible summary or a per-snapshot bitmap cached on
+//! the part and advanced over its end-write log, see
+//! [`PartVisibility::resolve`]).
 
 use crate::batch;
 use crate::filter::{ColumnPredicate, ScanStats};
-use crate::scan::{plan_ranges, Lookup, PartVisibility};
+use crate::scan::{Lookup, PartVisibility};
 use crate::table::UnifiedTable;
 use hana_column::Pos;
 use hana_common::{HanaError, Result, RowId, Timestamp, Value};
 use hana_dict::GlobalSortedDict;
 use hana_merge::{effective_workers, map_indexed};
 use hana_rowstore::L1Snapshot;
-use hana_store::{L2Delta, MainStore, PartHit};
+use hana_store::{L2Delta, MainStore};
 use hana_txn::{version_visible, Snapshot, Transaction};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -227,56 +227,33 @@ impl TableRead {
         self.fan_out(|s, _| s.count(&self.snap)).into_iter().sum()
     }
 
-    /// Point query: visible rows with `col = v`, via the dictionaries and
-    /// inverted indexes of the column stages and a scan of the (small) L1.
-    /// Every shard is consulted — use
-    /// [`PartitionedTable::point`](crate::PartitionedTable::point) for a
-    /// partition-key lookup, which touches exactly one.
+    /// Point query: visible rows with `col = v` — the [batch scan](crate::batch)
+    /// under one `Eq` conjunct, so the main and every L2 walk the inverted
+    /// index of `v`'s code and the (small) L1 is tested row-wise. A NULL `v`
+    /// matches nothing, in every stage. Rows come back per shard in stage
+    /// order: main in chain order, frozen L2, open L2, L1. Every shard is
+    /// consulted — use [`PartitionedTable::point`](crate::PartitionedTable::point)
+    /// for a partition-key lookup, which touches exactly one.
     pub fn point(&self, col: usize, v: &Value) -> Result<Vec<Vec<Value>>> {
-        self.schema_col(col)?;
-        Ok(concat(self.fan_out(|s, fan_units| {
-            let hits = s.main.positions_eq(col, v);
-            let mut out = s.materialize_main_hits(&self.snap, &hits, fan_units);
-            s.l2_rows(&self.snap, |l2, f| l2.positions_eq(col, v, f), &mut out);
-            s.l1_rows(&self.snap, |x| x[col] == *v, &mut out);
-            out
-        })))
+        let eq = [ColumnPredicate::Eq(col, v.clone())];
+        let (rows, _) = batch::scan_rows(self, &eq, None, false)?;
+        Ok(rows.into_iter().map(|r| r.values).collect())
     }
 
-    /// Range query: visible rows with `col` in `[lo, hi]` bounds. The main
-    /// resolves the range per part dictionary (Fig 10); the L2 through its
-    /// unsorted dictionaries; the L1 by scan.
+    /// Range query: visible rows with `col` within the bounds — the batch
+    /// scan under one `Range` conjunct, compiled per part dictionary of the
+    /// main (Fig 10) and per L2 dictionary. NULL cells never match, and a
+    /// NULL bound matches nothing, in every stage. Row order as for
+    /// [`point`](Self::point).
     pub fn range(
         &self,
         col: usize,
         lo: Bound<&Value>,
         hi: Bound<&Value>,
     ) -> Result<Vec<Vec<Value>>> {
-        self.schema_col(col)?;
-        let in_range = |v: &Value| {
-            !v.is_null()
-                && (match lo {
-                    Bound::Unbounded => true,
-                    Bound::Included(b) => v >= b,
-                    Bound::Excluded(b) => v > b,
-                })
-                && (match hi {
-                    Bound::Unbounded => true,
-                    Bound::Included(b) => v <= b,
-                    Bound::Excluded(b) => v < b,
-                })
-        };
-        Ok(concat(self.fan_out(|s, fan_units| {
-            let hits = s.main.positions_range(col, lo, hi);
-            let mut out = s.materialize_main_hits(&self.snap, &hits, fan_units);
-            s.l2_rows(
-                &self.snap,
-                |l2, f| l2.positions_range(col, lo, hi, f),
-                &mut out,
-            );
-            s.l1_rows(&self.snap, |x| in_range(&x[col]), &mut out);
-            out
-        })))
+        let range = [ColumnPredicate::Range(col, lo.cloned(), hi.cloned())];
+        let (rows, _) = batch::scan_rows(self, &range, None, false)?;
+        Ok(rows.into_iter().map(|r| r.values).collect())
     }
 
     /// Columnar aggregation over one numeric column: `(count, sum)` of
@@ -442,76 +419,6 @@ impl Shard {
             .filter(|(_, slot)| self.visible(snap, slot.begin(), slot.end()))
             .count()
     }
-
-    /// Filter a main-store hit list through the visibility summary/bitmaps
-    /// and materialize the surviving rows, fanning large lists out over the
-    /// scan pool when `fan_units` (in-order reassembly keeps the output
-    /// deterministic).
-    fn materialize_main_hits(
-        &self,
-        snap: &Snapshot,
-        hits: &[PartHit],
-        fan_units: bool,
-    ) -> Vec<Vec<Value>> {
-        if hits.is_empty() {
-            return Vec::new();
-        }
-        let parts = self.main.parts();
-        let mut vis: Vec<Option<PartVisibility>> = Vec::with_capacity(parts.len());
-        vis.resize_with(parts.len(), || None);
-        for h in hits {
-            if vis[h.part].is_none() {
-                vis[h.part] = Some(self.part_visibility(snap, h.part));
-            }
-        }
-        let ranges = plan_ranges(hits.len());
-        let workers = match fan_units {
-            true => self.workers(ranges.len()),
-            false => 1,
-        };
-        let produced = map_indexed(ranges.len(), workers, |ri| {
-            let (start, end) = ranges[ri];
-            let mut rows = Vec::new();
-            for h in &hits[start..end] {
-                if vis[h.part]
-                    .as_ref()
-                    .expect("visibility resolved")
-                    .is_visible(h.pos)
-                {
-                    rows.push(self.main.row_at(*h));
-                }
-            }
-            rows
-        });
-        produced.into_iter().flatten().collect()
-    }
-
-    /// Append the visible rows at the positions `hits` yields for the frozen
-    /// L2, then for the open L2.
-    fn l2_rows(
-        &self,
-        snap: &Snapshot,
-        hits: impl Fn(&L2Delta, Pos) -> Vec<Pos>,
-        out: &mut Vec<Vec<Value>>,
-    ) {
-        let l2s = self.l2_frozen.iter().map(|(l2, f)| (l2, *f));
-        for (l2, fence) in l2s.chain([(&self.l2, self.l2_fence)]) {
-            for pos in hits(l2, fence) {
-                if self.visible(snap, l2.begin(pos), l2.end(pos)) {
-                    out.push(l2.row(pos));
-                }
-            }
-        }
-    }
-
-    /// Append the visible L1 rows whose values satisfy `keep`.
-    fn l1_rows(&self, snap: &Snapshot, keep: impl Fn(&[Value]) -> bool, out: &mut Vec<Vec<Value>>) {
-        for (_, slot) in self.l1.iter() {
-            if keep(&slot.values) && self.visible(snap, slot.begin(), slot.end()) {
-                out.push(slot.values.to_vec());
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -630,6 +537,125 @@ mod tests {
             .unwrap();
         assert_eq!(campbell.1, 2);
         assert_eq!(campbell.2, 5.0);
+    }
+
+    /// Fig 10's `C%`–`L%` range in every column stage: through the L2's
+    /// unsorted dictionary, one main part's sorted dictionary, and a
+    /// passive + active main, where it resolves per part dictionary and the
+    /// active part reuses the passive code of "Campbell".
+    #[test]
+    fn range_resolves_per_dictionary_in_every_stage() {
+        let (mgr, t) = setup();
+        let insert = |rows: &[(i64, &str)]| {
+            let mut txn = mgr.begin(IsolationLevel::Transaction);
+            for &(i, city) in rows {
+                t.insert(&txn, vec![Value::Int(i), Value::str(city), Value::Null])
+                    .unwrap();
+            }
+            txn.commit().unwrap();
+            t.merge_l1().unwrap();
+        };
+        let c_to_l = || {
+            let read = t.read_at(Snapshot::at(mgr.now()));
+            let c = Value::str("C");
+            let m = Value::str("M");
+            let rows = read
+                .range(1, Bound::Included(&c), Bound::Excluded(&m))
+                .unwrap();
+            let mut cities: Vec<Value> = rows.into_iter().map(|r| r[1].clone()).collect();
+            cities.sort();
+            cities
+        };
+        let cities = |names: &[&str]| names.iter().map(|&n| Value::str(n)).collect::<Vec<_>>();
+        insert(&[
+            (1, "Los Gatos"),
+            (2, "Campbell"),
+            (3, "Daily City"),
+            (4, "Saratoga"),
+        ]);
+        assert_eq!(t.stage_stats().l2_rows, 4);
+        let first = cities(&["Campbell", "Daily City", "Los Gatos"]);
+        assert_eq!(c_to_l(), first);
+        t.merge_delta_as(MergeDecision::Classic).unwrap();
+        assert_eq!(c_to_l(), first);
+        insert(&[(5, "Campbell"), (6, "Los Altos")]);
+        t.merge_delta_as(MergeDecision::Partial).unwrap();
+        assert_eq!(t.stage_stats().main_parts, 2);
+        let both = cities(&[
+            "Campbell",
+            "Campbell",
+            "Daily City",
+            "Los Altos",
+            "Los Gatos",
+        ]);
+        assert_eq!(c_to_l(), both);
+    }
+
+    /// A NULL key matches nothing, for reads and writes alike, whether the
+    /// rows sit in the L1 (plain values), the L2 or the main (where NULLs
+    /// never enter a dictionary).
+    #[test]
+    fn null_key_matches_nothing_in_any_stage() {
+        let (mgr, t) = setup();
+        let mut txn = mgr.begin(IsolationLevel::Transaction);
+        for i in 0..2 {
+            t.insert(&txn, vec![Value::Int(i), Value::Null, Value::double(1.0)])
+                .unwrap();
+        }
+        txn.commit().unwrap();
+        let city = hana_common::ColumnId(1);
+        let check = |stage: &str| {
+            let read = t.read_at(Snapshot::at(mgr.now()));
+            assert_eq!(read.count(), 2, "{stage}");
+            assert!(read.point(1, &Value::Null).unwrap().is_empty(), "{stage}");
+            let null = Bound::Included(&Value::Null);
+            let rows = read.range(1, null, Bound::Unbounded).unwrap();
+            assert!(rows.is_empty(), "{stage}");
+            let mut w = mgr.begin(IsolationLevel::Transaction);
+            let err = t.delete_where(&w, city, &Value::Null).unwrap_err();
+            assert!(matches!(err, HanaError::NotFound(_)), "{stage}: {err}");
+            let set = [(hana_common::ColumnId(2), Value::double(2.0))];
+            let err = t.update_where(&w, city, &Value::Null, &set).unwrap_err();
+            assert!(matches!(err, HanaError::NotFound(_)), "{stage}: {err}");
+            w.abort().unwrap();
+        };
+        check("L1");
+        t.merge_l1().unwrap();
+        check("L2");
+        t.merge_delta_as(MergeDecision::Classic).unwrap();
+        assert_eq!(t.stage_stats().main_rows, 2);
+        check("main");
+    }
+
+    /// An `Eq` over the L2 walks its code's inverted-index chain: only the
+    /// rows on it are tested, not every row of the delta.
+    #[test]
+    fn l2_eq_walks_the_index_chain() {
+        let (mgr, t) = setup();
+        let mut txn = mgr.begin(IsolationLevel::Transaction);
+        for i in 0..100 {
+            let city = if i % 10 == 0 { "tens" } else { "other" };
+            t.insert(&txn, vec![Value::Int(i), Value::str(city), Value::Null])
+                .unwrap();
+        }
+        txn.commit().unwrap();
+        t.merge_l1().unwrap();
+        let read = t.read_at(Snapshot::at(mgr.now()));
+        assert_eq!(read.stage_row_counts(), (0, 100, 0));
+        let tens = ColumnPredicate::Eq(1, Value::str("tens"));
+        let (rows, stats) = read
+            .scan_filtered(std::slice::from_ref(&tens), None)
+            .unwrap();
+        assert_eq!(rows.len(), 10);
+        assert_eq!(stats.code_filtered_rows, 10);
+        assert_eq!(stats.index_probes, 1);
+        let values: Vec<Vec<Value>> = rows.into_iter().map(|r| r.values).collect();
+        assert_eq!(read.point(1, &Value::str("tens")).unwrap(), values);
+        // Further conjuncts are tested on the chain's rows only.
+        let below_50 = ColumnPredicate::Range(0, Bound::Unbounded, Bound::Excluded(Value::Int(50)));
+        let (rows, stats) = read.scan_filtered(&[below_50, tens], None).unwrap();
+        assert_eq!(rows.len(), 5);
+        assert_eq!(stats.code_filtered_rows, 10);
     }
 
     #[test]

@@ -57,18 +57,6 @@ pub(crate) fn plan_chunks(parts: &[Arc<MainPart>]) -> Vec<ScanChunk> {
     chunks
 }
 
-/// Split a flat hit list into `SCAN_CHUNK_ROWS`-sized index ranges.
-pub(crate) fn plan_ranges(len: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    while start < len {
-        let end = (start + SCAN_CHUNK_ROWS).min(len);
-        out.push((start, end));
-        start = end;
-    }
-    out
-}
-
 /// Resolved visibility of one main part under one snapshot.
 pub(crate) enum PartVisibility {
     /// Every row of the part is visible — no per-row checks at all.
@@ -173,15 +161,6 @@ impl PartVisibility {
         (PartVisibility::Filtered(entry), lookup)
     }
 
-    /// Is row `pos` of the part visible?
-    #[inline]
-    pub fn is_visible(&self, pos: Pos) -> bool {
-        match self {
-            PartVisibility::All => true,
-            PartVisibility::Filtered(b) => b.visible.get(pos as usize),
-        }
-    }
-
     /// Visible rows within the whole part (`part_len` = the part's length).
     pub fn visible_rows(&self, part_len: usize) -> usize {
         match self {
@@ -233,15 +212,6 @@ mod tests {
     use hana_common::{Timestamp, COMMIT_TS_MAX};
     use hana_txn::{IsolationLevel, Resolution, Transaction};
     use proptest::prelude::*;
-
-    #[test]
-    fn ranges_cover_without_overlap() {
-        let r = plan_ranges(SCAN_CHUNK_ROWS * 2 + 5);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r[0], (0, SCAN_CHUNK_ROWS));
-        assert_eq!(r[2], (SCAN_CHUNK_ROWS * 2, SCAN_CHUNK_ROWS * 2 + 5));
-        assert!(plan_ranges(0).is_empty());
-    }
 
     /// One step of the differential test below.
     #[derive(Debug, Clone)]
@@ -380,8 +350,10 @@ mod tests {
                             s => slots[s].read_snapshot(),
                         };
                         let (vis, _) = PartVisibility::resolve(&mgr, &snap, &part);
-                        let got: Vec<bool> =
-                            (0..len as Pos).map(|p| vis.is_visible(p)).collect();
+                        let mut hits = Bitmap::zeros(len);
+                        hits.set_range(0, len);
+                        vis.mask_hits(&mut hits, 0);
+                        let got: Vec<bool> = (0..len).map(|p| hits.get(p)).collect();
                         prop_assert_eq!(got, oracle(&mgr, &snap, &part));
                     }
                 }

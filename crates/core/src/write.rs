@@ -165,7 +165,12 @@ impl UnifiedTable {
         key_col: ColumnId,
         key: &Value,
     ) -> Result<(Loc, RowId, Vec<Value>)> {
-        let candidates = self.versions_by_value_locked(state, key_col.idx(), key);
+        // A NULL key equals nothing, in every stage: it never enters an L2
+        // or main dictionary, so only the L1's plain values could match it.
+        let candidates = match key.is_null() {
+            true => Vec::new(),
+            false => self.versions_by_value_locked(state, key_col.idx(), key),
+        };
         let mut found: Option<(Loc, RowId, u64, u64, Vec<Value>)> = None;
         for loc in candidates {
             let Some((row_id, begin, end, values)) = self.version_at_locked(state, loc) else {

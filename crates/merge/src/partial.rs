@@ -96,7 +96,6 @@ mod tests {
     use super::*;
     use crate::classic::{classic_merge, l2_from_rows};
     use hana_common::{ColumnDef, DataType, RowId, Schema};
-    use std::ops::Bound;
 
     fn schema() -> Schema {
         Schema::new(
@@ -179,28 +178,6 @@ mod tests {
         let active2 = m2.active_part().unwrap();
         assert_eq!(active2.len(), 3); // 4, 5, 6
         assert_eq!(active2.dict(1).len(), 2); // Los Altos, Saratoga
-
-        // Fig 10 range query over both structures: C..M.
-        let hits = m2.positions_range(
-            1,
-            Bound::Included(&Value::str("C")),
-            Bound::Excluded(&Value::str("M")),
-        );
-        let mut vals: Vec<String> = hits
-            .iter()
-            .map(|&h| m2.value_at(h, 1).as_str().unwrap().to_string())
-            .collect();
-        vals.sort();
-        assert_eq!(
-            vals,
-            vec![
-                "Campbell",
-                "Campbell",
-                "Daily City",
-                "Los Altos",
-                "Los Gatos"
-            ]
-        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! consumers, a "script" node with imperative logic, and a "conv" node
 //! applying the built-in currency conversion. This example builds that
 //! shape over a sales table, prints the plan before/after optimization, and
-//! runs it — also through the split/combine parallel path and the OLAP
-//! star-join operator.
+//! runs it — also through the split/combine parallel path and as an OLAP
+//! star join (a calc-graph join under an aggregate).
 //!
 //! Run with `cargo run -p hana-examples --example calc_graph`.
 
@@ -13,7 +13,6 @@ use hana_calc::graph::PipeOp;
 use hana_calc::{optimize, AggFunc, CalcGraph, CalcNode, Executor, Predicate, Query};
 use hana_common::{TableConfig, Value};
 use hana_core::Database;
-use hana_engines::olap::{Dimension, StarJoin};
 use hana_txn::{IsolationLevel, Snapshot};
 use hana_workload::sales::{fact_cols, SalesDataset};
 use std::sync::Arc;
@@ -94,26 +93,33 @@ fn main() -> hana_common::Result<()> {
         )
         .compile();
     let rs = Executor::new(snap).run(&parallel)?;
-    println!("split/combine over 4 workers: {} city groups", rs.len());
+    println!("split/combine over 4 partitions: {} city groups", rs.len());
 
-    // --- The OLAP star-join operator from the engine layer.
-    let star = StarJoin {
-        fact: Arc::clone(&ds.sales),
-        dimensions: vec![Dimension {
-            table: Arc::clone(&ds.products),
-            dim_key_col: 0,
-            fact_key_col: fact_cols::PRODUCT_ID,
-            predicate: Predicate::Eq(1, Value::str("electronics")),
-            group_attr: Some(1),
-        }],
-        measure_col: fact_cols::AMOUNT,
-    };
-    let res = star.execute(snap)?;
-    println!(
-        "star join: {} electronics sales, revenue {:.0}",
-        res.matching_facts,
-        res.groups.iter().map(|g| g.2).sum::<f64>()
-    );
+    // --- A star join: the fact table joined to a filtered dimension and
+    // aggregated per dimension attribute, folded over column batches.
+    let category = ds.sales.schema().arity() + 1;
+    let mut star = Query::scan(Arc::clone(&ds.sales))
+        .join(
+            Query::scan(Arc::clone(&ds.products))
+                .filter(Predicate::Eq(1, Value::str("electronics"))),
+            fact_cols::PRODUCT_ID,
+            0,
+        )
+        .aggregate(
+            vec![category],
+            vec![(AggFunc::Count, 0), (AggFunc::Sum, fact_cols::AMOUNT)],
+        )
+        .compile();
+    optimize(&mut star);
+    let rs = Executor::new(snap).run(&star)?;
+    for row in &rs.rows {
+        println!(
+            "star join: {} {} sales, revenue {:.0}",
+            row[1],
+            row[0],
+            row[2].as_numeric().unwrap_or(0.0)
+        );
+    }
 
     // --- Everything above ran against live MVCC state: prove it.
     let mut txn = db.begin(IsolationLevel::Transaction);

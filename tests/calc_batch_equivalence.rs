@@ -15,11 +15,13 @@
 //! The fact table's rows are spread over a two-part main (passive +
 //! active), a frozen L2-delta (left behind by a delta merge an in-flight
 //! transaction blocked), the open L2-delta and the L1-delta, with NULLs,
-//! updated and deleted versions in every stage and uncommitted rows in L2
-//! and L1; statements read at the latest snapshot and at one older than the
-//! last two rounds of writes. Fixtures cover `ScanSource::Single` and a
-//! two-way `ScanSource::Partitioned` at `scan_parallelism` 1 and 2, plus a
-//! one-partition table, which must read exactly like the single one.
+//! updated and deleted versions in every stage and uncommitted rows,
+//! updates and deletes in the main, L2 and L1; statements read at the
+//! latest snapshot and at one older than the last two rounds of writes (the
+//! model test also under the uncommitted writer's own snapshot). Fixtures
+//! cover `ScanSource::Single` and a two-way `ScanSource::Partitioned` at
+//! `scan_parallelism` 1 and 2, plus a one-partition table, which must read
+//! exactly like the single one.
 
 use hana_calc::{AggFunc, ExecStats, Executor, Expr, Predicate, Query, ResultSet, ScanSource};
 use hana_common::{
@@ -30,7 +32,7 @@ use hana_merge::MergeDecision;
 use hana_txn::{IsolationLevel, Snapshot, Transaction};
 use proptest::prelude::*;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
 const K: usize = 0; // Int, unique
@@ -149,13 +151,27 @@ struct Fixture {
     /// Older than the writes of the last two rounds.
     old: Snapshot,
     new: Snapshot,
+    /// The never-committing transaction's own snapshot.
+    own: Snapshot,
     /// The committed fact rows by key as of `old` and `new`, tracked
-    /// independently of any scan.
+    /// independently of any scan, and what `own` sees: the rows committed
+    /// when that transaction began plus its own writes.
     model_old: Model,
     model_new: Model,
+    model_own: Model,
+    /// Keys the point lookups check: every key an update or delete
+    /// touched, the uncommitted and own-written keys, and a stride of
+    /// every stage.
+    tracked: Vec<i64>,
 }
 
 type Model = BTreeMap<i64, Vec<Value>>;
+
+/// The model side of [`Fact::update`].
+fn set_v(row: &mut [Value], v: i64) {
+    row[V] = Value::Int(v);
+    row[S] = Value::str(COLORS[v.rem_euclid(4) as usize]);
+}
 
 /// A row only ever written by the transaction that never commits: visible
 /// in an aggregate the moment a fold forgets the visibility AND.
@@ -200,20 +216,23 @@ fn fixture(partitions: usize, scan_parallelism: usize) -> Fixture {
         db.commit(&mut txn).unwrap();
     };
     let model = RefCell::new(Model::new());
+    let touched = RefCell::new(BTreeSet::new());
     let insert = |txn: &Transaction, k: i64| {
         fact.insert(txn, k);
         model.borrow_mut().insert(k, fact_row(k));
     };
     let update = |txn: &Transaction, k: i64, v: i64| {
         fact.update(txn, k, v);
-        let mut model = model.borrow_mut();
-        let row = model.get_mut(&k).expect("updated key exists");
-        row[V] = Value::Int(v);
-        row[S] = Value::str(COLORS[v.rem_euclid(4) as usize]);
+        set_v(
+            model.borrow_mut().get_mut(&k).expect("updated key exists"),
+            v,
+        );
+        touched.borrow_mut().insert(k);
     };
     let delete = |txn: &Transaction, k: i64| {
         fact.delete(txn, k);
         model.borrow_mut().remove(&k).expect("deleted key exists");
+        touched.borrow_mut().insert(k);
     };
 
     // Passive main: bulk-loaded (the L1 uniqueness probe is linear).
@@ -322,23 +341,53 @@ fn fixture(partitions: usize, scan_parallelism: usize) -> Fixture {
     .unwrap();
     commit(txn);
     fact.shard_of(-10).insert(&open, pending_row(-10)).unwrap(); // in L1
+                                                                 // The open transaction also updates and deletes a passive-main and a
+                                                                 // frozen-L2 row no later round touched; it began where `model_old` ends.
+    let mut model_own = model_old.clone();
+    for i in 0..fact.shards().len() as i64 {
+        model_own.insert(-1 - i, pending_row(-1 - i));
+    }
+    model_own.insert(-10, pending_row(-10));
+    for (k, v) in [(100, 7_100), (bounds[1] + 200, 7_200)] {
+        fact.update(&open, k, v);
+        set_v(model_own.get_mut(&k).expect("updated key exists"), v);
+    }
+    for k in [bounds[0] + 500, bounds[1] + 201] {
+        fact.delete(&open, k);
+        model_own.remove(&k).expect("deleted key exists");
+    }
     for shard in fact.shards() {
         let s = shard.stage_stats();
         assert!(s.l1_rows > 0 && s.l2_rows > 0 && s.l2_frozen_rows > 0 && s.main_parts == 2);
     }
     let new = Snapshot::at(db.txn_manager().now());
+    let own = open.read_snapshot();
     // Never finished: its rows stay uncommitted and the L2 stays frozen for
     // as long as the fixture lives.
     std::mem::forget(open);
     let model_new = model.borrow().clone();
+    let mut tracked = touched.into_inner();
+    tracked.extend([
+        -10,
+        -2,
+        -1,
+        100,
+        bounds[0] + 500,
+        bounds[1] + 200,
+        bounds[1] + 201,
+    ]);
+    tracked.extend((0..bounds[4]).step_by(37));
     Fixture {
         _db: db,
         fact,
         dim,
         old,
         new,
+        own,
         model_old,
         model_new,
+        model_own,
+        tracked: tracked.into_iter().collect(),
     }
 }
 
@@ -639,20 +688,57 @@ proptest! {
 
 /// The oracle's own input: a scan materialized at the root returns exactly
 /// the rows the op stream left committed at each snapshot — no invisible
-/// version, no uncommitted row, every stage (the L1 leg included) present.
-/// Rows and batch folds share one storage scan, so this is what makes the
-/// equivalence above fail when that scan drops the visibility AND or a
-/// stage.
+/// version, no uncommitted row, every stage (the L1 leg included) present
+/// — and a transaction's own snapshot adds exactly its own writes. Rows,
+/// point and range lookups and batch folds share one storage scan, so this
+/// is what makes the equivalence above fail when that scan drops the
+/// visibility AND or a stage.
 #[test]
 fn scanned_rows_match_the_model() {
+    use std::ops::Bound::{Excluded, Included, Unbounded};
+    let ranges = [
+        // Across the passive / active main boundary.
+        (
+            K,
+            Included(Value::Int(19_990)),
+            Excluded(Value::Int(20_010)),
+        ),
+        // Across frozen L2, open L2 and L1, with the uncommitted keys.
+        (K, Excluded(Value::Int(23_850)), Unbounded),
+        // A nullable column, negative values (odd rounds' updates) too.
+        (V, Included(Value::Int(-5_100)), Excluded(Value::Int(-150))),
+    ];
     for (fi, f) in fixtures().iter().enumerate() {
-        for (snapshot, model) in [(f.old, &f.model_old), (f.new, &f.model_new)] {
+        let snapshots = [
+            (f.old, &f.model_old),
+            (f.new, &f.model_new),
+            (f.own, &f.model_own),
+        ];
+        for (si, (snapshot, model)) in snapshots.into_iter().enumerate() {
             let g = Query::scan(f.fact.source()).compile();
             let mut rows = Executor::new(snapshot).run(&g).unwrap().rows;
             rows.sort();
             let want: Vec<&Vec<Value>> = model.values().collect();
-            assert_eq!(rows.len(), want.len(), "fixture {fi}");
+            assert_eq!(rows.len(), want.len(), "fixture {fi} snapshot {si}");
             assert!(rows.iter().zip(want).all(|(a, b)| a == b), "fixture {fi}");
+            let read = f.fact.source().read_at(snapshot);
+            for &k in &f.tracked {
+                let want: Vec<Vec<Value>> = model.get(&k).cloned().into_iter().collect();
+                let got = read.point(K, &Value::Int(k)).unwrap();
+                assert_eq!(got, want, "fixture {fi} snapshot {si} key {k}");
+            }
+            for (col, lo, hi) in &ranges {
+                let mut got = read.range(*col, lo.as_ref(), hi.as_ref()).unwrap();
+                got.sort();
+                let pred = ColumnPredicate::Range(*col, lo.clone(), hi.clone());
+                let want: Vec<&Vec<Value>> = model
+                    .values()
+                    .filter(|r| pred.matches_value(&r[*col]))
+                    .collect();
+                assert!(!want.is_empty(), "{pred:?}");
+                assert_eq!(got.len(), want.len(), "fixture {fi} snapshot {si} {pred:?}");
+                assert!(got.iter().zip(want).all(|(a, b)| a == b), "{pred:?}");
+            }
             // And the fold over the same scan counts the same rows.
             let g = Query::scan(f.fact.source())
                 .aggregate(vec![], vec![(AggFunc::Count, 0), (AggFunc::Sum, K)])

@@ -1,11 +1,11 @@
-//! The full query stack: calc graphs + engine operators over tables whose
-//! rows are spread across all lifecycle stages.
+//! The full query stack: calc graphs (the star join among them) and the
+//! text and graph engines over tables whose rows are spread across all
+//! lifecycle stages.
 
 use hana_calc::graph::PipeOp;
 use hana_calc::{optimize, AggFunc, Executor, Expr, Predicate, Query};
 use hana_common::{TableConfig, Value};
 use hana_core::Database;
-use hana_engines::olap::{Dimension, StarJoin};
 use hana_engines::{GraphEngine, TextIndex};
 use hana_txn::{IsolationLevel, Snapshot};
 use hana_workload::olap::ALL_QUERIES;
@@ -140,26 +140,34 @@ fn split_combine_equals_serial_on_staged_table() {
     assert_eq!(a.rows, b.rows);
 }
 
+/// The §2.2 star join is a calc-graph join under an aggregate, folded over
+/// the fact table's column batches.
 #[test]
 fn star_join_over_staged_fact_table() {
     let db = Database::in_memory();
     let ds = staged_dataset(&db);
     let snap = Snapshot::at(db.txn_manager().now());
-    let star = StarJoin {
-        fact: Arc::clone(&ds.sales),
-        dimensions: vec![Dimension {
-            table: Arc::clone(&ds.products),
-            dim_key_col: 0,
-            fact_key_col: fact_cols::PRODUCT_ID,
-            predicate: Predicate::True,
-            group_attr: Some(1),
-        }],
-        measure_col: fact_cols::AMOUNT,
-    };
-    let res = star.execute(snap).unwrap();
-    // Every fact row references a product (ids 1..=40 generated, all exist).
-    assert_eq!(res.matching_facts, 2_350);
-    let by_cat: f64 = res.groups.iter().map(|g| g.2).sum();
+    // Join output: the fact columns, then products(id, category, price).
+    let category = ds.sales.schema().arity() + 1;
+    let mut g = Query::scan(Arc::clone(&ds.sales))
+        .join(
+            Query::scan(Arc::clone(&ds.products)),
+            fact_cols::PRODUCT_ID,
+            0,
+        )
+        .aggregate(
+            vec![category],
+            vec![(AggFunc::Count, 0), (AggFunc::Sum, fact_cols::AMOUNT)],
+        )
+        .compile();
+    optimize(&mut g);
+    let mut ex = Executor::new(snap);
+    let res = ex.run(&g).unwrap();
+    assert_eq!(ex.stats().full_scans, 0, "the join was materialized");
+    // Every fact row references a product (ids 0..40 generated, all exist).
+    let matching: i64 = res.rows.iter().map(|r| r[1].as_int().unwrap()).sum();
+    assert_eq!(matching, 2_350);
+    let by_cat: f64 = res.rows.iter().map(|r| r[2].as_numeric().unwrap()).sum();
     let (_, direct_sum) = {
         let r = db.begin(IsolationLevel::Transaction);
         ds.sales
