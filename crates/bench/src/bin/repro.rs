@@ -442,7 +442,144 @@ fn fig05_filter() -> hana_common::Result<()> {
         ],
         &rows,
     );
+    fig05_eq_routes();
     Ok(())
+}
+
+/// F5b (equality routes): a selective `Eq` answered through an inverted
+/// index — the list of the code's positions, gathered into the hit list —
+/// against the packed-word kernel behind per-chunk zone maps
+/// (`filter_range` over every chunk the zone map admits, then `iter_ones`),
+/// per encoding and selectivity, at the column layer. Both routes must
+/// return the same positions. This measurement decides which columns keep
+/// an index: only keys do, because the kernel is fast enough everywhere
+/// else.
+fn fig05_eq_routes() {
+    use hana_column::{
+        BitPackedVec, Bitmap, Cluster, CodeFilter, CodeMatcher, CodeVector, InvertedIndex, Pos,
+        Rle, Sparse, ZoneMap, ZONE_CHUNK_ROWS,
+    };
+    let n = scale(1_000_000) as usize;
+    println!("\n## F5b — `Eq` through an inverted index vs kernel + zone maps ({n} rows)\n");
+    let mix = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
+    // The probed code and its positions: one hit per stride of n/k rows,
+    // at a pseudo-random offset inside the stride.
+    let hit: u32 = 2;
+    let layout = |k: usize, other: &dyn Fn(usize) -> u32| -> Vec<u32> {
+        let mut codes: Vec<u32> = (0..n).map(other).collect();
+        let stride = n / k;
+        for j in 0..k {
+            codes[j * stride + mix(j as u64) as usize % stride] = hit;
+        }
+        codes
+    };
+    let not_hit = |c: u32| if c == hit { hit + 1 } else { c };
+    // Per-iteration time of `f` in µs: best of three ≥ 5 ms batches.
+    let per_iter = |f: &mut dyn FnMut() -> usize| {
+        let mut best = f64::INFINITY;
+        for _ in 0..3 {
+            let (mut iters, t0) = (0u32, Instant::now());
+            while iters == 0 || t0.elapsed() < Duration::from_millis(5) {
+                std::hint::black_box(f());
+                iters += 1;
+            }
+            best = best.min(t0.elapsed().as_secs_f64() * 1e6 / iters as f64);
+        }
+        best
+    };
+    let mut rows = Vec::new();
+    for (sel, k) in [("0.01%", n / 10_000), ("0.1%", n / 1_000), ("1%", n / 100)] {
+        let k = k.max(1);
+        let random = |bits: u32| layout(k, &|i| not_hit(mix(i as u64) as u32 & ((1 << bits) - 1)));
+        let mut sorted = random(8);
+        sorted.sort_unstable();
+        let sparse = layout(k, &|i| match mix(i as u64) % 20 {
+            0 => not_hit(1 + mix(i as u64 + 7) as u32 % 255),
+            _ => 0,
+        });
+        let columns: Vec<(String, Vec<u32>, CodeVector)> = [4u8, 8, 13, 16]
+            .into_iter()
+            .map(|bits| {
+                let codes = random(bits as u32);
+                let cv = CodeVector::BitPacked(BitPackedVec::from_codes_with_bits(&codes, bits));
+                (format!("bit-packed {bits}"), codes, cv)
+            })
+            .chain([
+                (
+                    "RLE (sorted)".to_string(),
+                    sorted.clone(),
+                    CodeVector::Rle(Rle::from_codes(&sorted)),
+                ),
+                (
+                    "cluster (sorted)".into(),
+                    sorted.clone(),
+                    CodeVector::Cluster(Cluster::from_codes(&sorted, 1024)),
+                ),
+                (
+                    "sparse (95% one code)".into(),
+                    sparse.clone(),
+                    CodeVector::Sparse(Sparse::from_codes(&sparse, 0)),
+                ),
+            ])
+            .collect();
+        for (name, codes, cv) in columns {
+            let max = *codes.iter().max().expect("non-empty column");
+            let null = max + 1;
+            let index = InvertedIndex::build(codes.iter().copied(), null as usize + 1);
+            let zones = ZoneMap::build(&codes, null);
+            let m = CodeMatcher::new(CodeFilter::eq(hit), null);
+            let via_index = || index.positions(hit).to_vec();
+            let mut pruned = 0;
+            let via_kernel = |pruned: &mut usize| {
+                let mut out: Vec<Pos> = Vec::new();
+                for (ci, zone) in zones.chunks().iter().enumerate() {
+                    if !zone.overlaps(hit, hit) {
+                        *pruned += 1;
+                        continue;
+                    }
+                    let start = ci * ZONE_CHUNK_ROWS;
+                    let end = (start + ZONE_CHUNK_ROWS).min(n);
+                    let mut hits = Bitmap::zeros(end - start);
+                    cv.filter_range(start, end, &m, &mut hits);
+                    out.extend(hits.iter_ones().map(|i| (start + i) as Pos));
+                }
+                out
+            };
+            let want = via_index();
+            assert_eq!(want.len(), k, "{name}: hit count");
+            assert_eq!(
+                via_kernel(&mut pruned),
+                want,
+                "{name} at {sel}: routes disagree"
+            );
+            let t_index = per_iter(&mut || via_index().len());
+            let t_kernel = per_iter(&mut || via_kernel(&mut 0).len());
+            rows.push(vec![
+                name,
+                sel.into(),
+                k.to_string(),
+                format!("{t_index:.2}"),
+                format!("{t_kernel:.2}"),
+                format!("{:.0}x", t_kernel / t_index),
+                format!("{pruned}/{}", zones.chunk_count()),
+                format!("{:.2}", index.heap_size() as f64 / n as f64),
+            ]);
+        }
+    }
+    report::emit(
+        "F5b Eq routes",
+        &[
+            "encoding",
+            "selectivity",
+            "hits",
+            "index + gather (µs)",
+            "kernel + zones (µs)",
+            "kernel / index",
+            "chunks pruned",
+            "index B/row",
+        ],
+        &rows,
+    );
 }
 
 /// Fig 6: L1→L2 merge cost scaling.

@@ -15,12 +15,15 @@
 //! * [`InvertedIndex`] / [`GrowableInvertedIndex`] — code → positions lists
 //!   backing the paper's "inverted indexes for the delta and main structures"
 //!   used for unique-constraint checks and point queries;
-//! * [`Bitmap`] — deletion/null bitmaps.
+//! * [`Bitmap`] — deletion/null bitmaps;
+//! * [`FrameVec`] — frame-of-reference packed `u64`s (a main part's record
+//!   ids).
 
 pub mod bitmap;
 pub mod bitpack;
 pub mod cluster;
 pub mod encoding;
+pub mod frame;
 pub mod invidx;
 pub mod kernel;
 pub mod rle;
@@ -32,6 +35,7 @@ pub use bitmap::Bitmap;
 pub use bitpack::BitPackedVec;
 pub use cluster::Cluster;
 pub use encoding::{CodeVector, Encoding};
+pub use frame::FrameVec;
 pub use invidx::{GrowableInvertedIndex, InvertedIndex};
 pub use kernel::{BlockPlan, CodeFilter, CodeMatcher};
 pub use rle::Rle;

@@ -24,35 +24,45 @@ pub struct CodeStats {
 }
 
 impl CodeStats {
-    /// Compute statistics in one pass (plus one pass over the histogram).
+    /// Compute statistics in two passes over the codes (plus one over the
+    /// histogram).
     pub fn compute(codes: &[Code]) -> Self {
-        let mut hist: FxHashMap<Code, usize> = FxHashMap::default();
         let mut runs = 0usize;
-        let mut max_code = 0;
+        let (mut min_code, mut max_code) = (Code::MAX, 0);
         let mut prev: Option<Code> = None;
         for &c in codes {
-            *hist.entry(c).or_insert(0) += 1;
             if prev != Some(c) {
                 runs += 1;
             }
             prev = Some(c);
+            min_code = min_code.min(c);
             max_code = max_code.max(c);
         }
-        let dominant = hist.iter().max_by_key(|&(_, &n)| n).map(|(&c, &n)| (c, n));
-        let n = codes.len() as f64;
-        let entropy = if codes.is_empty() {
-            0.0
+        // Dictionary codes are dense: count them in an array over their
+        // span (4 B per code) unless the span is wider than the input, as
+        // when an active part's codes reach into a large passive
+        // dictionary.
+        let n = codes.len();
+        let span = max_code.saturating_sub(min_code) as usize + 1;
+        let (distinct, dominant, entropy) = if n == 0 {
+            (0, None, 0.0)
+        } else if span <= n {
+            let mut counts = vec![0u32; span];
+            for &c in codes {
+                counts[(c - min_code) as usize] += 1;
+            }
+            let hist = counts.iter().enumerate().filter(|&(_, &k)| k > 0);
+            summarize(hist.map(|(i, &k)| (min_code + i as Code, k as usize)), n)
         } else {
-            hist.values()
-                .map(|&cnt| {
-                    let p = cnt as f64 / n;
-                    -p * p.log2()
-                })
-                .sum()
+            let mut hist: FxHashMap<Code, usize> = FxHashMap::default();
+            for &c in codes {
+                *hist.entry(c).or_insert(0) += 1;
+            }
+            summarize(hist.into_iter(), n)
         };
         CodeStats {
-            len: codes.len(),
-            distinct: hist.len(),
+            len: n,
+            distinct,
             runs,
             max_code,
             dominant,
@@ -78,6 +88,26 @@ impl CodeStats {
     }
 }
 
+/// `(distinct, dominant, entropy)` of a histogram of `(code, count)` pairs
+/// over `n` codes.
+fn summarize(
+    hist: impl Iterator<Item = (Code, usize)>,
+    n: usize,
+) -> (usize, Option<(Code, usize)>, f64) {
+    let mut distinct = 0;
+    let mut dominant: Option<(Code, usize)> = None;
+    let mut entropy = 0.0;
+    for (c, k) in hist {
+        distinct += 1;
+        if dominant.is_none_or(|(_, best)| k > best) {
+            dominant = Some((c, k));
+        }
+        let p = k as f64 / n as f64;
+        entropy -= p * p.log2();
+    }
+    (distinct, dominant, entropy)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,6 +123,16 @@ mod tests {
         assert_eq!(s.dominant, Some((1, 3)));
         assert!((s.dominant_fraction() - 0.5).abs() < 1e-12);
         assert!((s.avg_run_len() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn wide_spans_count_like_dense_ones() {
+        // Span 3 ≤ 5 codes: array histogram; span 2^30: hash histogram.
+        let dense = CodeStats::compute(&[7, 9, 9, 8, 9]);
+        let wide = CodeStats::compute(&[7, 9 << 27, 9 << 27, 1 << 30, 9 << 27]);
+        assert_eq!((dense.distinct, dense.dominant), (3, Some((9, 3))));
+        assert_eq!((wide.distinct, wide.dominant), (3, Some((9 << 27, 3))));
+        assert_eq!((dense.runs, dense.entropy), (wide.runs, wide.entropy));
     }
 
     #[test]

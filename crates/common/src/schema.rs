@@ -150,6 +150,13 @@ impl Schema {
             .map(|(i, _)| ColumnId(i as u16))
     }
 
+    /// True if the column at index `col` carries a uniqueness constraint —
+    /// the columns whose main and L2 stages keep inverted indexes.
+    #[inline]
+    pub fn is_key(&self, col: usize) -> bool {
+        self.columns[col].unique
+    }
+
     /// Validate a full row against arity, types and nullability.
     pub fn check_row(&self, row: &[Value]) -> Result<()> {
         if row.len() != self.arity() {
@@ -234,6 +241,7 @@ mod tests {
         let unique: Vec<_> = s.unique_columns().collect();
         assert_eq!(unique, vec![ColumnId(0)]);
         assert!(!s.column(ColumnId(0)).nullable);
+        assert!(s.is_key(0) && !s.is_key(1) && !s.is_key(2));
     }
 
     #[test]

@@ -36,6 +36,7 @@ use hana_rowstore::L1Snapshot;
 use hana_store::{L2Delta, MainStore};
 use hana_txn::{version_visible, Snapshot, Transaction};
 use std::ops::Bound;
+use std::sync::atomic::Ordering::Acquire;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -407,11 +408,16 @@ impl Shard {
         for (pi, part) in parts.iter().enumerate() {
             n += self.part_visibility(snap, pi).visible_rows(part.len());
         }
+        // Each L2's stamps are read under one lock acquisition, as the
+        // batch scan reads them (visibility only consults the txn manager).
         let l2s = self.l2_frozen.iter().map(|(l2, f)| (l2, *f));
         for (l2, fence) in l2s.chain([(&self.l2, self.l2_fence)]) {
-            n += (0..fence)
-                .filter(|&pos| self.visible(snap, l2.begin(pos), l2.end(pos)))
-                .count();
+            n += l2.with_columns_stamped(&[], fence, |view| {
+                let stamps = view.begins.iter().zip(view.ends);
+                stamps
+                    .filter(|(b, e)| self.visible(snap, b.load(Acquire), e.load(Acquire)))
+                    .count()
+            });
         }
         n + self
             .l1
@@ -627,8 +633,9 @@ mod tests {
         check("main");
     }
 
-    /// An `Eq` over the L2 walks its code's inverted-index chain: only the
-    /// rows on it are tested, not every row of the delta.
+    /// An `Eq` on the key over the L2 walks its code's inverted-index
+    /// chain: only the rows on it are tested, not every row of the delta.
+    /// An `Eq` on any other column carries no chain and tests every row.
     #[test]
     fn l2_eq_walks_the_index_chain() {
         let (mgr, t) = setup();
@@ -642,20 +649,32 @@ mod tests {
         t.merge_l1().unwrap();
         let read = t.read_at(Snapshot::at(mgr.now()));
         assert_eq!(read.stage_row_counts(), (0, 100, 0));
+        let key = ColumnPredicate::Eq(0, Value::Int(30));
+        let (rows, stats) = read
+            .scan_filtered(std::slice::from_ref(&key), None)
+            .unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(stats.code_filtered_rows, 1);
+        assert_eq!(stats.index_probes, 1);
+        let values: Vec<Vec<Value>> = rows.into_iter().map(|r| r.values).collect();
+        assert_eq!(read.point(0, &Value::Int(30)).unwrap(), values);
+        // The key conjunct routes wherever it stands; the others are tested
+        // on the chain's rows only.
         let tens = ColumnPredicate::Eq(1, Value::str("tens"));
+        let (rows, stats) = read.scan_filtered(&[tens.clone(), key], None).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!((stats.code_filtered_rows, stats.index_probes), (1, 1));
+        // The city column has no chain: its `Eq` tests all 100 rows.
         let (rows, stats) = read
             .scan_filtered(std::slice::from_ref(&tens), None)
             .unwrap();
         assert_eq!(rows.len(), 10);
-        assert_eq!(stats.code_filtered_rows, 10);
-        assert_eq!(stats.index_probes, 1);
+        assert_eq!((stats.code_filtered_rows, stats.index_probes), (100, 0));
         let values: Vec<Vec<Value>> = rows.into_iter().map(|r| r.values).collect();
         assert_eq!(read.point(1, &Value::str("tens")).unwrap(), values);
-        // Further conjuncts are tested on the chain's rows only.
         let below_50 = ColumnPredicate::Range(0, Bound::Unbounded, Bound::Excluded(Value::Int(50)));
-        let (rows, stats) = read.scan_filtered(&[below_50, tens], None).unwrap();
+        let (rows, _) = read.scan_filtered(&[below_50, tens], None).unwrap();
         assert_eq!(rows.len(), 5);
-        assert_eq!(stats.code_filtered_rows, 10);
     }
 
     #[test]
@@ -784,9 +803,10 @@ mod tests {
             .collect();
         assert_eq!(rows, expect);
         assert!(!rows.is_empty());
-        // The Eq conjunct routed through the inverted index.
-        assert_eq!(stats.index_probes, 1);
-        assert!(stats.code_filtered_rows > 0);
+        // The city column carries no index: its Eq runs the kernels over
+        // every main row, like the Range.
+        assert_eq!(stats.index_probes, 0);
+        assert_eq!(stats.code_filtered_rows, 200);
         assert_eq!(stats.rowwise_rows, 10);
     }
 

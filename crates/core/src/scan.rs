@@ -190,10 +190,12 @@ pub(crate) fn stamped_part(
     begins: Vec<hana_common::Timestamp>,
     ends: Vec<hana_common::Timestamp>,
 ) -> MainPart {
-    use hana_common::{RowId, Value};
+    use hana_common::{ColumnDef, DataType, RowId, Schema, Value};
     let n = begins.len();
+    let schema = Schema::new("t", vec![ColumnDef::new("id", DataType::Int).unique()]).unwrap();
     MainPart::build(
         generation,
+        &schema,
         vec![hana_store::MainColumnData {
             dict: hana_dict::SortedDict::from_values((0..n as i64).map(Value::Int).collect()),
             base: 0,

@@ -113,7 +113,7 @@ impl UnifiedTable {
                     generation: p.generation(),
                     columns,
                     zones,
-                    row_ids: p.row_ids().to_vec(),
+                    row_ids: p.row_ids().collect(),
                     begins: (0..n as u32).map(|pos| p.begin(pos)).collect(),
                     ends: (0..n as u32)
                         .map(|pos| self.image_stamp(p.end(pos), false).unwrap())
@@ -253,6 +253,7 @@ impl UnifiedTable {
                 });
                 Arc::new(MainPart::build_with_zones(
                     p.generation,
+                    &self.schema,
                     columns,
                     p.row_ids.clone(),
                     p.begins.clone(),

@@ -150,6 +150,7 @@ mod tests {
             let codes: Vec<u32> = (0..n as u32).map(|i| i + base).collect();
             Arc::new(MainPart::build(
                 gen,
+                &schema(),
                 vec![MainColumnData { dict, base, codes }],
                 (0..n as u64).map(|i| RowId(i + offset as u64)).collect(),
                 vec![1; n],
