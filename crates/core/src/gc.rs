@@ -31,11 +31,20 @@
 //! (`referenced`); the trim runs only against the union over *all* catalog
 //! tables, with a commit-timestamp cutoff captured before the oldest sweep
 //! started (any transaction committing mid-sweep lands above the cutoff, so
-//! marks a sweep raced past stay resolvable). On top of that, an entry is
-//! dropped only after being an eligible candidate for **two consecutive
-//! cycles** — a reader that loaded a mark just before the first cycle's
-//! sweep rewrote it has long resolved it by the time the entry actually
-//! goes away. Aborted-set entries skip the deferral: an unknown id already
+//! marks a sweep raced past stay resolvable).
+//!
+//! **Pinned views.** A sweep sees only the current structures, but a read
+//! view keeps the ones it pinned: an L1 snapshot whose slots an L1→L2 merge
+//! has since moved on, a main a delta merge has since replaced. Their marks
+//! are never rewritten, and a trimmed entry would make a view pinned before
+//! the swap resolve a committed insert as aborted (a lost row) or a
+//! committed delete as aborted (a revived row). So every candidate carries
+//! the begin epoch read after the sweep that first found it captured its
+//! structures, and it is dropped only from the second cycle on, and only
+//! once every transaction that began before that epoch has finished — the
+//! views that can still reach a copy of the mark died with them. A view is
+//! protected while its transaction runs; a detached `Snapshot::at` view is
+//! not. Aborted-set entries need neither rule: an unknown id already
 //! resolves as aborted, so dropping one can never change a resolution.
 //!
 //! **The merge floor.** Both merges replay end stamps that raced their
@@ -99,6 +108,9 @@ pub struct SweepReport {
     /// MVCC watermark captured *before* the sweep touched any stamp,
     /// lowered to the merge floor while a merge runs (see the module docs).
     pub watermark_start: Timestamp,
+    /// [`TxnManager::begin_epoch`] read after the sweep captured the
+    /// structures it walks (see the module docs).
+    pub epoch: u64,
     /// Transaction ids still carried by some mark this sweep could not
     /// rewrite (in-flight writers, lost CAS races, immutable main begins).
     pub referenced: FxHashSet<u64>,
@@ -121,6 +133,7 @@ impl SweepReport {
     fn empty(watermark_start: Timestamp) -> Self {
         SweepReport {
             watermark_start,
+            epoch: 0,
             referenced: FxHashSet::default(),
             marks_resolved: 0,
             end_stamps_visited: 0,
@@ -164,12 +177,14 @@ pub struct GcStats {
 }
 
 struct GcSharedInner {
-    /// Latest sweep per table id (trim requires one from every table).
-    reports: FxHashMap<u32, (Timestamp, FxHashSet<u64>)>,
+    /// Latest sweep per table id (trim requires one from every table):
+    /// watermark, epoch and referenced ids.
+    reports: FxHashMap<u32, (Timestamp, u64, FxHashSet<u64>)>,
     /// Tables that must report before a trim may run.
     registered: FxHashSet<u32>,
-    /// Commit-table candidates from the previous trim (two-cycle deferral).
-    candidates: FxHashSet<u64>,
+    /// Commit-table candidates of earlier trims, with the epoch of the
+    /// cycle that first found each (see [`TxnManager::trim_finished`]).
+    pending: FxHashMap<u64, u64>,
 }
 
 /// Database-wide GC state: counters plus the cross-table trim aggregator.
@@ -185,7 +200,7 @@ impl GcShared {
             inner: Mutex::new(GcSharedInner {
                 reports: FxHashMap::default(),
                 registered: FxHashSet::default(),
-                candidates: FxHashSet::default(),
+                pending: FxHashMap::default(),
             }),
         })
     }
@@ -228,9 +243,10 @@ impl GcShared {
             .store(report.watermark_start, Ordering::Relaxed);
 
         let mut inner = self.inner.lock();
-        inner
-            .reports
-            .insert(table, (report.watermark_start, report.referenced));
+        inner.reports.insert(
+            table,
+            (report.watermark_start, report.epoch, report.referenced),
+        );
         if !inner
             .registered
             .iter()
@@ -240,14 +256,16 @@ impl GcShared {
         }
         let mut referenced: FxHashSet<u64> = FxHashSet::default();
         let mut committed_before = Timestamp::MAX;
+        let mut epoch = 0;
         for id in &inner.registered {
-            let (wm, refs) = &inner.reports[id];
+            let (wm, ep, refs) = &inner.reports[id];
             committed_before = committed_before.min(*wm);
+            epoch = epoch.max(*ep);
             referenced.extend(refs.iter().copied());
         }
-        let approved = std::mem::take(&mut inner.candidates);
-        let (removed, candidates) = mgr.trim_finished(&referenced, committed_before, &approved);
-        inner.candidates = candidates;
+        let mut pending = std::mem::take(&mut inner.pending);
+        let removed = mgr.trim_finished(&referenced, committed_before, epoch, &mut pending);
+        inner.pending = pending;
         self.counters
             .txn_entries_trimmed
             .fetch_add(removed as u64, Ordering::Relaxed);
@@ -390,6 +408,7 @@ impl UnifiedTable {
                 Arc::clone(&state.main),
             )
         };
+        rep.epoch = self.mgr.begin_epoch();
         self.sweep_l2(&l2, watermark_start, &mut rep);
         if let Some(f) = &frozen {
             self.sweep_l2(f, watermark_start, &mut rep);
@@ -698,6 +717,83 @@ mod tests {
         let read = table.read(&reader);
         assert_eq!(read.point(0, &Value::Int(3)).unwrap().len(), 1);
         assert_eq!(read.count(), 10);
+    }
+
+    /// A view pinned before a full merge keeps the L1 slot the merge moved
+    /// on and the main it replaced, both carrying marks no sweep rewrites:
+    /// an update's new version (begin mark) and a delete (end mark). GC
+    /// cycles meanwhile must keep both writers' commit entries while the
+    /// view's transaction runs, or the view would lose the updated row's
+    /// new version, revive its old one and revive the deleted row. Once it
+    /// finishes, the entries go.
+    #[test]
+    fn trims_keep_the_marks_a_pinned_view_still_reads() {
+        use hana_common::{ColumnDef, ColumnId, DataType, Schema, TableConfig, Value};
+        use hana_txn::TxnState;
+
+        let mgr = TxnManager::new();
+        let schema = Schema::new(
+            "t",
+            vec![
+                ColumnDef::new("id", DataType::Int).unique(),
+                ColumnDef::new("v", DataType::Int),
+            ],
+        )
+        .unwrap();
+        let table = UnifiedTable::standalone(schema, TableConfig::default(), Arc::clone(&mgr));
+        let mut load = mgr.begin(IsolationLevel::Transaction);
+        for i in 0..10 {
+            table
+                .insert(&load, vec![Value::Int(i), Value::Int(0)])
+                .unwrap();
+        }
+        load.commit().unwrap();
+        table.force_full_merge().unwrap();
+        let shared = GcShared::new();
+        shared.register_table(table.id().0);
+        let cycle = || {
+            let report = table.gc_sweep();
+            shared.absorb(&mgr, table.id().0, report);
+        };
+
+        let mut updater = mgr.begin(IsolationLevel::Transaction);
+        let set = [(ColumnId(1), Value::Int(1))];
+        table
+            .update_where(&updater, ColumnId(0), &Value::Int(3), &set)
+            .unwrap();
+        updater.commit().unwrap();
+        let mut deleter = mgr.begin(IsolationLevel::Transaction);
+        table
+            .delete_where(&deleter, ColumnId(0), &Value::Int(5))
+            .unwrap();
+        deleter.commit().unwrap();
+        for w in [&updater, &deleter] {
+            table.finish_txn(w.id());
+        }
+
+        let mut reader = mgr.begin(IsolationLevel::Transaction);
+        let view = table.read(&reader);
+        table.force_full_merge().unwrap();
+        for _ in 0..3 {
+            cycle();
+        }
+        for w in [&updater, &deleter] {
+            assert!(matches!(mgr.state_of(w.id()), TxnState::Committed(_)));
+        }
+        assert_eq!(view.count(), 9);
+        let row3 = view.point(0, &Value::Int(3)).unwrap();
+        assert_eq!(row3, vec![vec![Value::Int(3), Value::Int(1)]]);
+        assert!(view.point(0, &Value::Int(5)).unwrap().is_empty());
+
+        drop(view);
+        reader.commit().unwrap();
+        cycle();
+        cycle();
+        assert_eq!(
+            mgr.finished_counts(),
+            (0, 0),
+            "the entries go once the view is done"
+        );
     }
 
     #[test]

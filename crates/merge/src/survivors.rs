@@ -16,7 +16,10 @@
 
 use hana_column::{Bitmap, Pos};
 use hana_common::{HanaError, Result, RowId, Timestamp, TxnId, Value, COMMIT_TS_MAX};
-use hana_store::{HistoricVersion, HistoryStore, L2Delta, MainStore, PartHit, L2_NULL_CODE};
+use hana_store::{
+    HistoricVersion, HistoryStore, L2Delta, MainColumn, MainColumnData, MainStore, PartHit,
+    L2_NULL_CODE,
+};
 use hana_txn::{Resolution, TxnManager};
 use std::sync::atomic::Ordering;
 
@@ -65,6 +68,15 @@ pub struct MergeInput<'a> {
     /// logical CPU, `1` = serial, `n` = exactly `n`. The result is
     /// bit-identical either way (see [`crate::parallel`]).
     pub parallel: usize,
+}
+
+impl MergeInput<'_> {
+    /// Pack one merged column of the new part; a key column
+    /// ([`hana_common::Schema::is_key`]) gets its inverted index.
+    pub(crate) fn build_column(&self, col: usize, data: MainColumnData) -> MainColumn {
+        let key = self.l2.schema().is_key(col);
+        MainColumn::build(data, self.block_size, None, key)
+    }
 }
 
 /// Resolve a possibly-marked stamp to a committed timestamp.

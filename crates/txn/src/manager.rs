@@ -81,12 +81,16 @@ impl TxnManager {
     /// Begin a transaction under the given isolation level.
     pub fn begin(self: &Arc<Self>, level: IsolationLevel) -> Transaction {
         let id = self.next_txn.fetch_add(1, Ordering::SeqCst);
-        let begin_ts = self.now();
-        {
+        // The clock is read under the lock that pins it: read before, a
+        // commit and a `watermark()` could pass the snapshot while it is
+        // not pinned yet, and a merge would drop versions it still sees.
+        let begin_ts = {
             let mut inner = self.inner.lock();
+            let begin_ts = self.now();
             inner.active.insert(id, begin_ts);
             *inner.pinned.entry(begin_ts).or_insert(0) += 1;
-        }
+            begin_ts
+        };
         Transaction {
             mgr: Arc::clone(self),
             id: TxnId(id),
@@ -197,6 +201,12 @@ impl TxnManager {
         (inner.commits.len(), inner.aborted.len())
     }
 
+    /// The begin epoch: every transaction that began before this call has
+    /// an id below the returned value.
+    pub fn begin_epoch(&self) -> u64 {
+        self.next_txn.load(Ordering::SeqCst)
+    }
+
     /// Drop finished-transaction bookkeeping that no stamp can need anymore.
     ///
     /// The GC calls this after a mark-resolution sweep:
@@ -208,35 +218,51 @@ impl TxnManager {
     ///   captured *before* its sweep started, so any transaction that
     ///   committed mid-sweep (and whose fresh marks the sweep may have
     ///   missed) stays resolvable.
-    /// * `approved` — the candidate set the *previous* cycle returned.
-    ///   An entry is removed only when it was already a candidate last
-    ///   cycle and still is (two-cycle deferral: a reader that loaded a
-    ///   mark just before last cycle's sweep rewrote it has long finished
-    ///   resolving by the time the entry is actually dropped).
+    /// * `epoch` — the [`begin_epoch`](Self::begin_epoch) read after the
+    ///   sweep captured the structures it walked. A candidate's marks can
+    ///   survive only in structures a merge replaced before that capture,
+    ///   and only a read view pinned by a transaction that began before it
+    ///   can still reach them.
+    /// * `pending` — the candidates of earlier cycles, each with the epoch
+    ///   of the cycle that first found it. A commit entry is removed only
+    ///   if it was pending and is still a candidate, and every transaction
+    ///   that began before its epoch has finished. The map is then
+    ///   replaced by this cycle's candidates (keeping their first epochs).
     ///
     /// Unreferenced *aborted* ids are removed immediately: an unknown id
     /// resolves to `Aborted` anyway, so dropping the entry never changes a
-    /// resolution. Returns `(entries removed, candidates for next cycle)`.
+    /// resolution. Returns the number of entries removed.
     pub fn trim_finished(
         &self,
         referenced: &FxHashSet<u64>,
         committed_before: Timestamp,
-        approved: &FxHashSet<u64>,
-    ) -> (usize, FxHashSet<u64>) {
+        epoch: u64,
+        pending: &mut FxHashMap<u64, u64>,
+    ) -> usize {
         let mut inner = self.inner.lock();
         let before = inner.commits.len() + inner.aborted.len();
         inner.aborted.retain(|id| referenced.contains(id));
-        let candidates: FxHashSet<u64> = inner
-            .commits
-            .iter()
-            .filter(|(id, &cts)| cts <= committed_before && !referenced.contains(*id))
-            .map(|(&id, _)| id)
-            .collect();
-        inner
-            .commits
-            .retain(|id, _| !(candidates.contains(id) && approved.contains(id)));
-        let removed = before - (inner.commits.len() + inner.aborted.len());
-        (removed, candidates)
+        let oldest_active = inner
+            .active
+            .keys()
+            .copied()
+            .min()
+            .unwrap_or_else(|| self.begin_epoch());
+        let mut next = FxHashMap::default();
+        inner.commits.retain(|id, &mut cts| {
+            if cts > committed_before || referenced.contains(id) {
+                return true;
+            }
+            match pending.get(id) {
+                Some(&first) if first <= oldest_active => false,
+                first => {
+                    next.insert(*id, first.copied().unwrap_or(epoch));
+                    true
+                }
+            }
+        });
+        *pending = next;
+        before - (inner.commits.len() + inner.aborted.len())
     }
 }
 
