@@ -1,49 +1,70 @@
 //! The reproduction harness: prints one markdown section per paper figure
-//! with the measured numbers that EXPERIMENTS.md records.
+//! with the measured numbers that EXPERIMENTS.md records. It is the only
+//! definition of every experiment.
 //!
 //! Run with `cargo run -p hana-bench --release --bin repro` (append a
 //! figure id like `fig11` to run one section).
 //!
+//! Every timed cell runs its case [`hana_bench::samples`] times and reports
+//! `median ± IQR`; set-up stays outside the timed region.
+//!
 //! Environment knobs:
-//! * `REPRO_QUICK=1` — CI smoke mode: every dataset is capped so the whole
-//!   harness finishes in seconds (numbers are NOT representative).
-//! * `REPRO_JSON=path` — additionally write every table as JSON to `path`.
+//! * `REPRO_QUICK=1` — CI smoke mode: every dataset is capped and fewer
+//!   samples are taken, so the whole harness finishes in seconds (numbers
+//!   are NOT representative).
+//! * `REPRO_JSON=path` — additionally write every table as JSON to `path`,
+//!   with the host shape (logical cores, mode, samples per timing).
 
 use hana_bench::{
-    fill_l1, fill_l2, report, scale, scale_duration, staged_sales, Stage, CUSTOMERS, PRODUCTS,
+    fill_l1, fill_l2, logical_cores, report, sample, samples, scale, scale_duration, staged_sales,
+    time_ms, Stage, Summary, CUSTOMERS, PRODUCTS,
 };
 use hana_common::{
     ColumnDef, ColumnId, DataType, GovernorConfig, MergeConfig, ScanConfig, Schema, TableConfig,
     Value,
 };
-use hana_core::Database;
+use hana_core::{Database, UnifiedTable};
 use hana_merge::MergeDecision;
 use hana_txn::{IsolationLevel, Snapshot, TxnManager};
 use hana_workload::olap::ALL_QUERIES;
-use hana_workload::oltp::{RowOltp, UnifiedOltp};
+use hana_workload::oltp::{OltpEngine, RowOltp, UnifiedOltp};
 use hana_workload::sales::{fact_cols, load_row_baseline};
 use hana_workload::{
-    DataGen, MixedReport, MixedWorkload, OlapRunner, OltpDriver, SalesDataset, SalesSchema,
+    DataGen, MixedReport, MixedWorkload, OlapRunner, OltpDriver, OltpOp, SalesDataset, SalesSchema,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn ms(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1e3)
-}
-
-fn time<R>(f: impl FnOnce() -> R) -> (Duration, R) {
-    let t0 = Instant::now();
-    let r = f();
-    (t0.elapsed(), r)
+/// Mean µs per point lookup: 200 order ids spread over `0..keys`, each of
+/// which must be found exactly once under `snap`.
+fn point_us(table: &Arc<UnifiedTable>, snap: Snapshot, keys: i64) -> f64 {
+    const PROBES: i64 = 200;
+    let (t, _) = time_ms(|| {
+        for k in 0..PROBES {
+            let read = table.read_at(snap);
+            let r = read
+                .point(fact_cols::ORDER_ID, &Value::Int(k * 7919 % keys))
+                .unwrap();
+            assert_eq!(r.len(), 1);
+        }
+    });
+    t * 1e3 / PROBES as f64
 }
 
 fn main() -> hana_common::Result<()> {
     let only: Option<String> = std::env::args().nth(1);
     let run = |name: &str| only.as_deref().is_none_or(|o| o == name);
-    if hana_bench::quick_mode() {
+    let quick = hana_bench::quick_mode();
+    if quick {
         println!("(REPRO_QUICK: datasets capped, numbers not representative)");
     }
+    println!(
+        "(host: {} logical cores, {} mode, {} samples per timing; timings are median ± IQR)",
+        logical_cores(),
+        if quick { "quick" } else { "full" },
+        samples()
+    );
 
     if run("fig03") {
         fig03()?;
@@ -96,29 +117,76 @@ fn main() -> hana_common::Result<()> {
     Ok(())
 }
 
-/// Fig 3: shared subexpressions and filter fusion in the calc graph.
+/// Fig 3: filter fusion and shared subexpressions in the calc graph.
 fn fig03() -> hana_common::Result<()> {
-    use hana_calc::{optimize, Executor, Predicate, Query};
+    use hana_calc::{optimize, CalcGraph, CalcNode, Executor, Expr, Predicate, Query};
     println!("\n## F3 — calc graph (shared subexpressions, fusion)\n");
     let st = staged_sales(scale(30_000), Stage::Main, 7);
     let snap = Snapshot::at(st.db.txn_manager().now());
 
-    let naive = Query::scan(Arc::clone(&st.table))
-        .filter(Predicate::Eq(fact_cols::ORDER_ID, Value::Int(123)))
-        .compile();
-    let mut fused = Query::scan(Arc::clone(&st.table))
-        .filter(Predicate::Eq(fact_cols::ORDER_ID, Value::Int(123)))
-        .compile();
+    let point_filter = || {
+        Query::scan(Arc::clone(&st.table))
+            .filter(Predicate::Eq(fact_cols::ORDER_ID, Value::Int(123)))
+            .compile()
+    };
+    let naive = point_filter();
+    let mut fused = point_filter();
     optimize(&mut fused);
-    let (t_naive, _) = time(|| Executor::new(snap).run(&naive).unwrap());
-    let (t_fused, _) = time(|| Executor::new(snap).run(&fused).unwrap());
+    // A diamond: two projections over one filtered scan — shared by both
+    // consumers, or duplicated per consumer.
+    let diamond = |shared: bool| {
+        let mut g = CalcGraph::new();
+        let filtered_scan = |g: &mut CalcGraph| {
+            let input = g.add(CalcNode::TableSource {
+                table: Arc::clone(&st.table).into(),
+                fused_filter: Predicate::True,
+                projection: None,
+            });
+            let pred = Predicate::Gt(fact_cols::AMOUNT, Value::Int(5_000));
+            g.add(CalcNode::Filter { input, pred })
+        };
+        let left = filtered_scan(&mut g);
+        let right = if shared { left } else { filtered_scan(&mut g) };
+        let inputs = [left, right]
+            .into_iter()
+            .map(|input| {
+                let exprs = vec![("a".into(), Expr::col(fact_cols::AMOUNT))];
+                g.add(CalcNode::Project { input, exprs })
+            })
+            .collect();
+        let root = g.add(CalcNode::Union { inputs });
+        g.set_root(root);
+        g
+    };
+
+    let mut rows = Vec::new();
+    for (plan, graph) in [
+        ("point filter, naive full scan", &naive),
+        ("point filter, fused index scan", &fused),
+        ("diamond, shared filtered scan", &diamond(true)),
+        ("diamond, duplicated subtree", &diamond(false)),
+    ] {
+        let mut ex = Executor::new(snap);
+        let out = ex.run(graph)?.len();
+        if plan.starts_with("point") {
+            assert_eq!(out, 1, "{plan}");
+        }
+        let t = sample(|| {
+            let (t, rs) = time_ms(|| Executor::new(snap).run(graph).unwrap());
+            assert_eq!(rs.len(), out, "{plan}");
+            t
+        });
+        rows.push(vec![
+            plan.into(),
+            t.cell(3),
+            out.to_string(),
+            ex.stats().nodes_evaluated.to_string(),
+        ]);
+    }
     report::emit(
         "F3 calc graph",
-        &["plan", "point-filter latency (ms)"],
-        &[
-            vec!["naive full scan".into(), ms(t_naive)],
-            vec!["fused index scan".into(), ms(t_fused)],
-        ],
+        &["plan", "latency (ms)", "rows out", "nodes evaluated"],
+        &rows,
     );
     Ok(())
 }
@@ -131,25 +199,14 @@ fn fig04() -> hana_common::Result<()> {
     for stage in [Stage::L1, Stage::L2, Stage::Main] {
         let st = staged_sales(n, stage, 7);
         let snap = Snapshot::at(st.db.txn_manager().now());
-        // Point: average over 200 lookups.
-        let (t_point, _) = time(|| {
-            for k in 0..200i64 {
-                let read = st.table.read_at(snap);
-                let r = read
-                    .point(fact_cols::ORDER_ID, &Value::Int(k * 97 % n))
-                    .unwrap();
-                assert_eq!(r.len(), 1);
-            }
-        });
-        let (t_scan, _) = time(|| {
+        let point = sample(|| point_us(&st.table, snap, n));
+        let scan = sample(|| {
             let read = st.table.read_at(snap);
-            read.aggregate_numeric(fact_cols::AMOUNT).unwrap()
+            let (t, (count, _)) = time_ms(|| read.aggregate_numeric(fact_cols::AMOUNT).unwrap());
+            assert_eq!(count, n as u64);
+            t
         });
-        rows.push(vec![
-            format!("{stage:?}"),
-            format!("{:.1}", t_point.as_secs_f64() * 1e6 / 200.0),
-            ms(t_scan),
-        ]);
+        rows.push(vec![format!("{stage:?}"), point.cell(1), scan.cell(2)]);
     }
     report::emit(
         "F4 access per stage",
@@ -194,12 +251,10 @@ fn fig04_kernels() {
                 CodeMatcher::new(CodeFilter::range(quarter..quarter.saturating_mul(2)), null),
             ),
         ] {
-            // Best of three so a background hiccup doesn't skew a ratio.
             let run = |scalar: bool| {
-                let mut best = f64::INFINITY;
                 let mut ones = 0usize;
-                for _ in 0..3 {
-                    let (t, o) = time(|| {
+                let t = sample(|| {
+                    let (t, o) = time_ms(|| {
                         let mut o = 0usize;
                         for _ in 0..iters {
                             let mut hits = Bitmap::zeros(n);
@@ -212,10 +267,10 @@ fn fig04_kernels() {
                         }
                         o
                     });
-                    best = best.min(t.as_secs_f64() * 1e3 / iters as f64);
                     ones = o;
-                }
-                (best, ones)
+                    t / iters as f64
+                });
+                (t, ones)
             };
             let (t_scalar, ones_scalar) = run(true);
             let (t_word, ones_word) = run(false);
@@ -223,9 +278,9 @@ fn fig04_kernels() {
             rows.push(vec![
                 bits.to_string(),
                 pred.into(),
-                format!("{t_scalar:.3}"),
-                format!("{t_word:.3}"),
-                format!("{:.2}x", t_scalar / t_word),
+                t_scalar.cell(3),
+                t_word.cell(3),
+                format!("{:.2}x", t_scalar.median / t_word.median),
             ]);
         }
     }
@@ -242,96 +297,158 @@ fn fig04_kernels() {
     );
 }
 
+/// One sampled statement row of the F4b visibility table: a column
+/// aggregate under the snapshot `snap_of` yields, with the bitmap-cache
+/// counters of the last sample's read.
+fn vis_row(
+    name: &str,
+    table: &Arc<UnifiedTable>,
+    mut snap_of: impl FnMut() -> Snapshot,
+) -> Vec<String> {
+    let mut counters = (0, 0);
+    let t = sample(|| {
+        let read = table.read_at(snap_of());
+        let (t, _) = time_ms(|| read.aggregate_numeric(fact_cols::AMOUNT).unwrap());
+        counters = read.vis_cache_stats();
+        t
+    });
+    vec![
+        name.into(),
+        counters.0.to_string(),
+        counters.1.to_string(),
+        t.cell(2),
+    ]
+}
+
 /// F4b: the same main-resident column scan, serial vs the chunk-parallel
-/// fan-out, plus the snapshot-visibility bitmap cache (cold first statement
-/// vs warm repeats under one snapshot).
+/// fan-out, plus the snapshot-visibility bitmap cache (wholly visible fast
+/// path, cold first statement, warm repeats under one snapshot).
 fn fig04_parallel() -> hana_common::Result<()> {
     let n = scale(1_000_000);
     println!("\n## F4b — parallel scan & visibility bitmap cache ({n} rows)\n");
-    let build =
-        |parallelism: usize| -> hana_common::Result<(Arc<Database>, Arc<hana_core::UnifiedTable>)> {
-            let db = Database::in_memory();
-            let cfg = TableConfig {
-                l1_max_rows: usize::MAX / 2,
-                l2_max_rows: usize::MAX / 2,
-                ..TableConfig::default()
-            }
-            .with_scan(ScanConfig::default().with_scan_parallelism(parallelism));
-            let table = db.create_table(SalesSchema::fact(), cfg)?;
-            let mut gen = DataGen::new(7);
-            let batch: Vec<Vec<Value>> = (0..n)
-                .map(|i| SalesSchema::fact_row(&mut gen, i, CUSTOMERS, PRODUCTS))
-                .collect();
-            let mut txn = db.begin(IsolationLevel::Transaction);
-            table.bulk_load(&txn, batch)?;
-            db.commit(&mut txn)?;
-            table.merge_delta_as(MergeDecision::Classic)?;
-            Ok((db, table))
-        };
-    let scan = |db: &Database, table: &Arc<hana_core::UnifiedTable>| {
-        let read = table.read_at(Snapshot::at(db.txn_manager().now()));
-        let (t, _) = time(|| read.aggregate_numeric(fact_cols::AMOUNT).unwrap());
-        t
+    let build = |parallelism: usize| -> hana_common::Result<(Arc<Database>, Arc<UnifiedTable>)> {
+        let db = Database::in_memory();
+        let cfg = TableConfig {
+            l1_max_rows: usize::MAX / 2,
+            l2_max_rows: usize::MAX / 2,
+            ..TableConfig::default()
+        }
+        .with_scan(ScanConfig::default().with_scan_parallelism(parallelism));
+        let table = db.create_table(SalesSchema::fact(), cfg)?;
+        let mut gen = DataGen::new(7);
+        let batch: Vec<Vec<Value>> = (0..n)
+            .map(|i| SalesSchema::fact_row(&mut gen, i, CUSTOMERS, PRODUCTS))
+            .collect();
+        let mut txn = db.begin(IsolationLevel::Transaction);
+        table.bulk_load(&txn, batch)?;
+        db.commit(&mut txn)?;
+        table.merge_delta_as(MergeDecision::Classic)?;
+        Ok((db, table))
+    };
+    let scans = |db: &Database, table: &Arc<UnifiedTable>| {
+        let snap = Snapshot::at(db.txn_manager().now());
+        let aggregate = sample(|| {
+            let read = table.read_at(snap);
+            let (t, (count, _)) = time_ms(|| read.aggregate_numeric(fact_cols::AMOUNT).unwrap());
+            assert_eq!(count, n as u64);
+            t
+        });
+        let group = sample(|| {
+            let read = table.read_at(snap);
+            time_ms(|| {
+                read.group_aggregate(fact_cols::CITY, fact_cols::AMOUNT)
+                    .unwrap()
+            })
+            .0
+        });
+        (aggregate, group)
     };
     let (db_s, table_s) = build(1)?;
-    let (db_p, table_p) = build(0)?;
-    let t_serial = scan(&db_s, &table_s);
-    let t_par = scan(&db_p, &table_p);
+    let (serial, serial_group) = scans(&db_s, &table_s);
+    drop((db_s, table_s));
+    let (db, table) = build(0)?;
+    let (par, par_group) = scans(&db, &table);
     let workers = hana_merge::effective_workers(0);
     report::emit(
         "F4b parallel scan",
-        &["scan", "workers", "scan (ms)", "speedup"],
         &[
-            vec!["serial".into(), "1".into(), ms(t_serial), "1.00x".into()],
+            "scan",
+            "workers",
+            "aggregate (ms)",
+            "group-by (ms)",
+            "speedup",
+        ],
+        &[
+            vec![
+                "serial".into(),
+                "1".into(),
+                serial.cell(2),
+                serial_group.cell(2),
+                "1.00x".into(),
+            ],
             vec![
                 "chunk-parallel".into(),
                 workers.to_string(),
-                ms(t_par),
-                format!("{:.2}x", t_serial.as_secs_f64() / t_par.as_secs_f64()),
+                par.cell(2),
+                par_group.cell(2),
+                format!("{:.2}x", serial.median / par.median),
             ],
         ],
     );
 
     // A committed delete ends the wholly-visible fast path: the first
     // statement under a snapshot builds the bitmap, later ones reuse it.
-    let (db, table) = (db_p, table_p);
+    let now = || Snapshot::at(db.txn_manager().now());
+    let fast = vis_row("wholly visible (summary fast path)", &table, now);
     let mut d = db.begin(IsolationLevel::Transaction);
     table.delete_where(&d, ColumnId(fact_cols::ORDER_ID as u16), &Value::Int(123))?;
     db.commit(&mut d)?;
-    let snap = Snapshot::at(db.txn_manager().now());
-    let cold_read = table.read_at(snap);
-    let (t_cold, _) = time(|| cold_read.aggregate_numeric(fact_cols::AMOUNT).unwrap());
-    let (cold_hits, cold_misses) = cold_read.vis_cache_stats();
-    let warm_read = table.read_at(snap);
-    let (t_warm, _) = time(|| warm_read.aggregate_numeric(fact_cols::AMOUNT).unwrap());
-    let (warm_hits, warm_misses) = warm_read.vis_cache_stats();
+    let cold = vis_row("first under a new snapshot (cold)", &table, || {
+        let mut bump = db.begin(IsolationLevel::Transaction);
+        db.commit(&mut bump).unwrap();
+        now()
+    });
+    let snap = now();
+    table.read_at(snap).count();
+    let warm = vis_row("repeat under one snapshot (warm)", &table, || snap);
     report::emit(
         "F4b visibility bitmap cache",
         &["statement", "bitmap hits", "bitmap misses", "scan (ms)"],
-        &[
-            vec![
-                "first under snapshot (cold)".into(),
-                cold_hits.to_string(),
-                cold_misses.to_string(),
-                ms(t_cold),
-            ],
-            vec![
-                "repeat under snapshot (warm)".into(),
-                warm_hits.to_string(),
-                warm_misses.to_string(),
-                ms(t_warm),
-            ],
-        ],
+        &[fast, cold, warm],
     );
     Ok(())
 }
 
-/// Fig 5: log bytes/record, savepoint, recovery.
+/// A durable sales table in `dir` with `rows` bulk-loaded rows merged into
+/// main.
+fn durable_main(
+    dir: &std::path::Path,
+    rows: i64,
+) -> hana_common::Result<(Arc<Database>, Arc<UnifiedTable>)> {
+    let db = Database::open(dir)?;
+    let table = db.create_table(SalesSchema::fact(), TableConfig::default())?;
+    let mut gen = DataGen::new(7);
+    let batch: Vec<Vec<Value>> = (0..rows)
+        .map(|i| SalesSchema::fact_row(&mut gen, i, CUSTOMERS, PRODUCTS))
+        .collect();
+    let mut txn = db.begin(IsolationLevel::Transaction);
+    table.bulk_load(&txn, batch)?;
+    db.commit(&mut txn)?;
+    table.force_full_merge()?;
+    Ok((db, table))
+}
+
+fn tempdir() -> hana_common::Result<tempfile::TempDir> {
+    tempfile::tempdir().map_err(|e| hana_common::HanaError::Persist(format!("tempdir: {e}")))
+}
+
+/// Fig 5: log bytes per record, commit cost with and without the log,
+/// savepoint cost by table size, and recovery by log-tail length.
 fn fig05() -> hana_common::Result<()> {
     println!("\n## F5 — persistency (log once, savepoint, replay)\n");
     let n = scale(10_000);
-    let tail = scale(4_000);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = tempdir()?;
+    let log_len = || std::fs::metadata(dir.path().join("redo.log")).map_or(0, |m| m.len());
     let db = Database::open(dir.path())?;
     let table = db.create_table(SalesSchema::fact(), TableConfig::default())?;
     let mut gen = DataGen::new(7);
@@ -343,50 +460,107 @@ fn fig05() -> hana_common::Result<()> {
         )?;
     }
     db.commit(&mut txn)?;
-    let log_bytes = {
-        let p = dir.path().join("redo.log");
-        std::fs::metadata(p).map(|m| m.len()).unwrap_or(0)
-    };
-    println!(
-        "- {n} inserts → {log_bytes} log bytes ({:.1} B/record)",
-        log_bytes as f64 / n as f64
-    );
-
+    let insert_bytes = log_len();
     // Merges move the data but add only event records.
-    let before = log_bytes;
     table.force_full_merge()?;
-    if let Some(p) = Some(dir.path().join("redo.log")) {
-        let after = std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
-        println!(
-            "- full merge of all {n} rows added {} log bytes (merge events only)",
-            after - before
-        );
-    }
-
-    let (t_save, _) = time(|| db.savepoint().unwrap());
-    println!(
-        "- savepoint of the merged table: {} ms; log truncated to 0",
-        ms(t_save)
+    let merge_bytes = log_len() - insert_bytes;
+    report::emit(
+        "F5 log volume",
+        &["operation", "log bytes", "B/row"],
+        &[
+            vec![
+                format!("{n} inserts in one txn"),
+                insert_bytes.to_string(),
+                format!("{:.1}", insert_bytes as f64 / n as f64),
+            ],
+            vec![
+                format!("full merge of all {n} rows"),
+                merge_bytes.to_string(),
+                format!("{:.2}", merge_bytes as f64 / n as f64),
+            ],
+        ],
     );
 
-    let mut txn = db.begin(IsolationLevel::Transaction);
-    for i in n..n + tail {
-        table.insert(
-            &txn,
-            SalesSchema::fact_row(&mut gen, i, CUSTOMERS, PRODUCTS),
-        )?;
+    let mut rows = Vec::new();
+    for durable in [false, true] {
+        let dir = tempdir()?;
+        let db = if durable {
+            Database::open(dir.path())?
+        } else {
+            Database::in_memory()
+        };
+        let table = db.create_table(SalesSchema::fact(), TableConfig::default())?;
+        let mut gen = DataGen::new(7);
+        let mut id = 0i64;
+        let t = sample(|| {
+            time_ms(|| {
+                let mut txn = db.begin(IsolationLevel::Transaction);
+                for _ in 0..100 {
+                    let row = SalesSchema::fact_row(&mut gen, id, CUSTOMERS, PRODUCTS);
+                    table.insert(&txn, row).unwrap();
+                    id += 1;
+                }
+                db.commit(&mut txn).unwrap();
+            })
+            .0
+        });
+        let name = if durable {
+            "durable (logged)"
+        } else {
+            "in memory"
+        };
+        rows.push(vec![name.into(), t.cell(2)]);
     }
-    db.commit(&mut txn)?;
-    drop(table);
-    drop(db);
-    let (t_rec, db) = time(|| Database::open(dir.path()).unwrap());
-    let t = db.table("sales")?;
-    let r = db.begin(IsolationLevel::Transaction);
-    assert_eq!(t.read(&r).count(), (n + tail) as usize);
-    println!(
-        "- recovery (savepoint + {tail}-record log tail): {} ms, {} rows back\n",
-        ms(t_rec),
-        n + tail
+    report::emit(
+        "F5 insert commit",
+        &["database", "100-insert txn (ms)"],
+        &rows,
+    );
+
+    let mut rows = Vec::new();
+    for main_rows in [scale(5_000), scale(20_000)] {
+        let dir = tempdir()?;
+        let (db, _table) = durable_main(dir.path(), main_rows)?;
+        let t = sample(|| time_ms(|| db.savepoint().unwrap()).0);
+        rows.push(vec![main_rows.to_string(), t.cell(2)]);
+    }
+    report::emit("F5 savepoint", &["main rows", "savepoint (ms)"], &rows);
+
+    // Recovery = load the savepoint image + replay the log tail written
+    // after it; the tail grows between rows.
+    db.savepoint()?;
+    drop((table, db));
+    let mut rows = Vec::new();
+    let mut logged = 0;
+    for tail in [scale(1_000), scale(8_000)] {
+        {
+            let db = Database::open(dir.path())?;
+            let table = db.table("sales")?;
+            let mut txn = db.begin(IsolationLevel::Transaction);
+            for i in n + logged..n + tail {
+                table.insert(
+                    &txn,
+                    SalesSchema::fact_row(&mut gen, i, CUSTOMERS, PRODUCTS),
+                )?;
+            }
+            db.commit(&mut txn)?;
+        }
+        logged = tail;
+        let t = sample(|| {
+            let (t, db) = time_ms(|| Database::open(dir.path()).unwrap());
+            let r = db.begin(IsolationLevel::Transaction);
+            assert_eq!(
+                db.table("sales").unwrap().read(&r).count(),
+                (n + tail) as usize
+            );
+            t
+        });
+        rows.push(vec![n.to_string(), tail.to_string(), t.cell(2)]);
+    }
+    report::emit(
+        "F5 recovery",
+        &["savepoint rows", "log tail records", "recovery (ms)"],
+        &rows,
     );
 
     fig05_filter()?;
@@ -410,21 +584,31 @@ fn fig05_filter() -> hana_common::Result<()> {
             Bound::Included(Value::Int(0)),
             Bound::Excluded(Value::Int(hits)),
         )];
-        let read = st.table.read_at(snap);
-        let (t_code, (matched, stats)) = time(|| read.scan_filtered(&preds, None).unwrap());
-        let read = st.table.read_at(snap);
-        let (t_value, kept) = time(|| {
-            let mut all = read.collect_rows();
-            all.retain(|r| preds.iter().all(|p| p.matches_value(&r.values[p.column()])));
-            all.len()
+        let mut stats = Default::default();
+        let t_code = sample(|| {
+            let read = st.table.read_at(snap);
+            let (t, (matched, s)) = time_ms(|| read.scan_filtered(&preds, None).unwrap());
+            assert_eq!(matched.len(), hits as usize);
+            stats = s;
+            t
         });
-        assert_eq!(matched.len(), kept);
+        let t_value = sample(|| {
+            let read = st.table.read_at(snap);
+            let (t, kept) = time_ms(|| {
+                let mut all = read.collect_rows();
+                all.retain(|r| preds.iter().all(|p| p.matches_value(&r.values[p.column()])));
+                all.len()
+            });
+            assert_eq!(kept, hits as usize);
+            t
+        });
+        let stats: hana_core::ScanStats = stats;
         rows.push(vec![
             name.into(),
-            matched.len().to_string(),
-            ms(t_code),
-            ms(t_value),
-            format!("{:.2}x", t_value.as_secs_f64() / t_code.as_secs_f64()),
+            hits.to_string(),
+            t_code.cell(2),
+            t_value.cell(2),
+            format!("{:.2}x", t_value.median / t_code.median),
             stats.zone_pruned_rows.to_string(),
             stats.code_filtered_rows.to_string(),
         ]);
@@ -474,18 +658,16 @@ fn fig05_eq_routes() {
         codes
     };
     let not_hit = |c: u32| if c == hit { hit + 1 } else { c };
-    // Per-iteration time of `f` in µs: best of three ≥ 5 ms batches.
+    // Per-iteration time of `f` in µs, each sample one batch of ≥ 5 ms.
     let per_iter = |f: &mut dyn FnMut() -> usize| {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
+        sample(|| {
             let (mut iters, t0) = (0u32, Instant::now());
             while iters == 0 || t0.elapsed() < Duration::from_millis(5) {
                 std::hint::black_box(f());
                 iters += 1;
             }
-            best = best.min(t0.elapsed().as_secs_f64() * 1e6 / iters as f64);
-        }
-        best
+            t0.elapsed().as_secs_f64() * 1e6 / iters as f64
+        })
     };
     let mut rows = Vec::new();
     for (sel, k) in [("0.01%", n / 10_000), ("0.1%", n / 1_000), ("1%", n / 100)] {
@@ -558,9 +740,9 @@ fn fig05_eq_routes() {
                 name,
                 sel.into(),
                 k.to_string(),
-                format!("{t_index:.2}"),
-                format!("{t_kernel:.2}"),
-                format!("{:.0}x", t_kernel / t_index),
+                t_index.cell(2),
+                t_kernel.cell(2),
+                format!("{:.0}x", t_kernel.median / t_index.median),
                 format!("{pruned}/{}", zones.chunk_count()),
                 format!("{:.2}", index.heap_size() as f64 / n as f64),
             ]);
@@ -582,34 +764,34 @@ fn fig05_eq_routes() {
     );
 }
 
-/// Fig 6: L1→L2 merge cost scaling.
+/// Fig 6: L1→L2 merge cost scales with the batch moved, not with the
+/// receiving L2, and readers keep their latency while merges run.
 fn fig06() -> hana_common::Result<()> {
     println!("\n## F6 — incremental L1→L2 merge\n");
-    let mut rows = Vec::new();
-    for batch in [scale(1_000), scale(4_000), scale(16_000)] {
-        let st = staged_sales(0, Stage::L2, 7);
-        fill_l1(&st, 0, batch, 11);
-        let (t, moved) = time(|| st.table.drain_l1().unwrap());
-        assert_eq!(moved as i64, batch);
-        rows.push(vec![
-            batch.to_string(),
-            "0".into(),
-            ms(t),
-            format!("{:.0}", batch as f64 / t.as_secs_f64()),
-        ]);
-    }
     let batch = scale(4_000);
-    for l2 in [scale(20_000), scale(100_000)] {
-        let st = staged_sales(0, Stage::L2, 7);
-        fill_l2(&st, 0, l2, 13);
-        fill_l1(&st, l2, batch, 17);
-        let (t, moved) = time(|| st.table.drain_l1().unwrap());
-        assert_eq!(moved as i64, batch);
+    let mut rows = Vec::new();
+    for (batch, l2) in [
+        (scale(1_000), 0),
+        (batch, 0),
+        (scale(16_000), 0),
+        (batch, scale(20_000)),
+        (batch, scale(100_000)),
+    ] {
+        let t = sample(|| {
+            let st = staged_sales(0, Stage::L2, 7);
+            if l2 > 0 {
+                fill_l2(&st, 0, l2, 13);
+            }
+            fill_l1(&st, l2, batch, 17);
+            let (t, moved) = time_ms(|| st.table.drain_l1().unwrap());
+            assert_eq!(moved as i64, batch);
+            t
+        });
         rows.push(vec![
             batch.to_string(),
             l2.to_string(),
-            ms(t),
-            format!("{:.0}", batch as f64 / t.as_secs_f64()),
+            t.cell(2),
+            format!("{:.0}", batch as f64 / t.median * 1e3),
         ]);
     }
     report::emit(
@@ -617,7 +799,59 @@ fn fig06() -> hana_common::Result<()> {
         &["L1 batch", "pre-existing L2 rows", "merge (ms)", "rows/s"],
         &rows,
     );
+
+    // Point readers under one snapshot, with and without a writer that
+    // commits 500-row transactions and drains them into the L2.
+    let main_rows = scale(50_000);
+    let mut rows = Vec::new();
+    for merging in [false, true] {
+        let st = staged_sales(main_rows, Stage::Main, 7);
+        let snap = Snapshot::at(st.db.txn_manager().now());
+        let stop = AtomicBool::new(false);
+        let t = std::thread::scope(|scope| {
+            if merging {
+                scope.spawn(|| {
+                    let mut gen = DataGen::new(23);
+                    let mut id = main_rows;
+                    while !stop.load(Ordering::Relaxed) {
+                        let mut txn = st.db.begin(IsolationLevel::Transaction);
+                        for _ in 0..500 {
+                            let row = SalesSchema::fact_row(&mut gen, id, CUSTOMERS, PRODUCTS);
+                            st.table.insert(&txn, row).unwrap();
+                            id += 1;
+                        }
+                        st.db.commit(&mut txn).unwrap();
+                        st.table.drain_l1().unwrap();
+                    }
+                });
+            }
+            let t = sample(|| point_us(&st.table, snap, main_rows));
+            stop.store(true, Ordering::Relaxed);
+            t
+        });
+        let background = if merging {
+            "writer + L1→L2 merges"
+        } else {
+            "quiescent"
+        };
+        rows.push(vec![background.into(), t.cell(2)]);
+    }
+    report::emit(
+        "F6 reader latency",
+        &["background", "point lookup (µs)"],
+        &rows,
+    );
     Ok(())
+}
+
+/// Time one `decision` merge of a `delta`-row L2 into a `main_rows`-row
+/// main (set-up untimed), checking that every row lands in main.
+fn merge_ms(main_rows: i64, delta: i64, decision: MergeDecision) -> f64 {
+    let st = staged_sales(main_rows, Stage::Main, 7);
+    fill_l2(&st, main_rows, delta, 13);
+    let (t, _) = time_ms(|| st.table.merge_delta_as(decision).unwrap());
+    assert_eq!(st.table.stage_stats().main_rows as i64, main_rows + delta);
+    t
 }
 
 /// Fig 7: classic merge cost vs main size, dictionary fast paths, and the
@@ -627,10 +861,8 @@ fn fig07() -> hana_common::Result<()> {
     println!("\n## F7 — classic delta-to-main merge (delta = {delta} rows)\n");
     let mut rows = Vec::new();
     for main_rows in [scale(10_000), scale(40_000), scale(160_000)] {
-        let st = staged_sales(main_rows, Stage::Main, 7);
-        fill_l2(&st, main_rows, delta, 13);
-        let (t, _) = time(|| st.table.merge_delta_as(MergeDecision::Classic).unwrap());
-        rows.push(vec![main_rows.to_string(), ms(t)]);
+        let t = sample(|| merge_ms(main_rows, delta, MergeDecision::Classic));
+        rows.push(vec![main_rows.to_string(), t.cell(2)]);
     }
     report::emit(
         "F7 classic merge",
@@ -665,17 +897,13 @@ fn fig07() -> hana_common::Result<()> {
     ];
     let mut rows = Vec::new();
     for (name, delta) in &cases {
-        let (t, m) = time(|| merge_dicts(&main, delta));
-        let kind = match m.kind {
+        let kind = match merge_dicts(&main, delta).kind {
             MergeKind::DeltaSubset => "DeltaSubset",
             MergeKind::DeltaAppend => "DeltaAppend",
             MergeKind::General => "General",
         };
-        rows.push(vec![
-            (*name).into(),
-            kind.into(),
-            format!("{:.0}", t.as_secs_f64() * 1e6),
-        ]);
+        let t = sample(|| time_ms(|| merge_dicts(&main, delta)).0 * 1e3);
+        rows.push(vec![(*name).into(), kind.into(), t.cell(0)]);
     }
     report::emit(
         "F7 dictionary fast paths",
@@ -694,8 +922,7 @@ fn fig07_parallel() -> hana_common::Result<()> {
     let wide_rows = scale(1_000_000);
     const WIDE_COLS: usize = 16;
     println!("\n## F7b — parallel column-wise merge (16 columns, {wide_rows} rows)\n");
-    let build = |parallelism: usize| -> hana_common::Result<(Duration, usize)> {
-        let db = Database::in_memory();
+    let merge = |parallelism: usize| -> hana_common::Result<(Summary, usize)> {
         let cols: Vec<ColumnDef> = std::iter::once(ColumnDef::new("id", DataType::Int).unique())
             .chain((1..WIDE_COLS).map(|c| ColumnDef::new(format!("c{c}"), DataType::Int)))
             .collect();
@@ -706,42 +933,95 @@ fn fig07_parallel() -> hana_common::Result<()> {
             ..TableConfig::default()
         }
         .with_merge(MergeConfig::default().with_column_parallelism(parallelism));
-        let table = db.create_table(schema, cfg)?;
-        let batch: Vec<Vec<Value>> = (0..wide_rows)
-            .map(|i| {
-                std::iter::once(Value::Int(i))
-                    .chain((1..WIDE_COLS as i64).map(|c| Value::Int((i * 31 + c) % 997)))
-                    .collect()
-            })
-            .collect();
-        let mut txn = db.begin(IsolationLevel::Transaction);
-        table.bulk_load(&txn, batch)?;
-        db.commit(&mut txn)?;
-        let (t, _) = time(|| table.merge_delta_as(MergeDecision::Classic).unwrap());
-        let workers = table.last_merge_metrics().map_or(1, |m| m.parallel_workers);
+        let mut workers = 1;
+        let t = sample(|| {
+            let db = Database::in_memory();
+            let table = db.create_table(schema.clone(), cfg.clone()).unwrap();
+            let batch: Vec<Vec<Value>> = (0..wide_rows)
+                .map(|i| {
+                    std::iter::once(Value::Int(i))
+                        .chain((1..WIDE_COLS as i64).map(|c| Value::Int((i * 31 + c) % 997)))
+                        .collect()
+                })
+                .collect();
+            let mut txn = db.begin(IsolationLevel::Transaction);
+            table.bulk_load(&txn, batch).unwrap();
+            db.commit(&mut txn).unwrap();
+            let (t, _) = time_ms(|| table.merge_delta_as(MergeDecision::Classic).unwrap());
+            assert_eq!(table.stage_stats().main_rows as i64, wide_rows);
+            workers = table.last_merge_metrics().map_or(1, |m| m.parallel_workers);
+            t
+        });
         Ok((t, workers))
     };
-    let (t_serial, _) = build(1)?;
-    let (t_par, workers) = build(0)?;
+    let (t_serial, _) = merge(1)?;
+    let (t_par, workers) = merge(0)?;
     report::emit(
         "F7b parallel merge",
         &["merge", "workers", "merge (ms)", "speedup"],
         &[
-            vec!["serial".into(), "1".into(), ms(t_serial), "1.00x".into()],
+            vec![
+                "serial".into(),
+                "1".into(),
+                t_serial.cell(2),
+                "1.00x".into(),
+            ],
             vec![
                 "column-parallel".into(),
                 workers.to_string(),
-                ms(t_par),
-                format!("{:.2}x", t_serial.as_secs_f64() / t_par.as_secs_f64()),
+                t_par.cell(2),
+                format!("{:.2}x", t_serial.median / t_par.median),
             ],
         ],
     );
     Ok(())
 }
 
+/// One classic merge of `table` with a racer thread that, once the
+/// off-lock build has frozen the L2, updates the rows keyed `keys` in
+/// column 0 (setting column `col` to -1), so publication has raced end
+/// stamps to reconcile off-lock. A merge the racer's open transaction
+/// makes fail is retried once the racer has committed.
+fn merge_with_racer(
+    db: &Database,
+    table: &UnifiedTable,
+    keys: &[i64],
+    col: usize,
+) -> hana_common::Result<()> {
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let racer = scope.spawn(|| {
+            while !done.load(Ordering::Relaxed) && table.stage_stats().l2_frozen_rows == 0 {
+                std::thread::yield_now();
+            }
+            if !done.load(Ordering::Relaxed) {
+                let mut txn = db.begin(IsolationLevel::Transaction);
+                for &key in keys {
+                    let _ = table.update_where(
+                        &txn,
+                        ColumnId(0),
+                        &Value::Int(key),
+                        &[(ColumnId(col as u16), Value::Int(-1))],
+                    );
+                }
+                let _ = db.commit(&mut txn);
+            }
+        });
+        let merged = table.merge_delta_as(MergeDecision::Classic);
+        done.store(true, Ordering::Relaxed);
+        racer.join().unwrap();
+        match merged {
+            // The build met the racer's stamps while its transaction was
+            // still in flight; it has committed now, so retry as the merge
+            // daemon would.
+            Err(e) if e.is_retryable() => table.merge_delta_as(MergeDecision::Classic),
+            merged => merged,
+        }
+    })
+}
+
 /// The F7c experiment: concurrent writers updating a fixed working set
-/// while the merge daemon (and GC) cycles. Returns (commits, p99 µs, max
-/// µs, merges, gc stats).
+/// while the merge daemon (and GC) cycles.
 struct F7cRun {
     commits: u64,
     p99_us: u64,
@@ -761,7 +1041,6 @@ fn f7c_run(working: i64, window: Duration) -> hana_common::Result<F7cRun> {
     // drowns the publication work if the stall is measured under contention
     // — with no other runnable threads the hold is pure CPU work: O(residue)
     // + pointer swap.
-    use std::sync::atomic::{AtomicBool, Ordering};
     let db = Database::in_memory();
     let cfg = TableConfig {
         l1_max_rows: 256,
@@ -839,10 +1118,10 @@ fn f7c_run(working: i64, window: Duration) -> hana_common::Result<F7cRun> {
         .unwrap_or(0);
 
     // Phase 2: quiesced measurement (see the function comment). Each round
-    // refills the delta, then merges with a single short-lived racer thread
-    // that end-stamps a few rows while the (off-lock, ms-scale) build runs
-    // and exits well before publication: the raced stamps are reconciled
-    // off-lock, and publication swaps in constant time.
+    // refills the delta, then merges with a racer that end-stamps a few rows
+    // while the (off-lock, ms-scale) build runs and exits well before
+    // publication: the raced stamps are reconciled off-lock, and publication
+    // swaps in constant time.
     table.reset_publication_stall();
     for round in 0..4i64 {
         let mut txn = db.begin(IsolationLevel::Transaction);
@@ -857,32 +1136,10 @@ fn f7c_run(working: i64, window: Duration) -> hana_common::Result<F7cRun> {
         }
         db.commit(&mut txn)?;
         table.drain_l1()?;
-        let merge_done = AtomicBool::new(false);
-        std::thread::scope(|scope| -> hana_common::Result<()> {
-            let racer = scope.spawn(|| {
-                while !merge_done.load(Ordering::Relaxed) && table.stage_stats().l2_frozen_rows == 0
-                {
-                    std::thread::yield_now();
-                }
-                if !merge_done.load(Ordering::Relaxed) {
-                    let mut txn = db.begin(IsolationLevel::Transaction);
-                    for k in 0..8i64 {
-                        let key = working - 1 - (round * 8 + k) % working;
-                        let _ = table.update_where(
-                            &txn,
-                            ColumnId(0),
-                            &Value::Int(key),
-                            &[(ColumnId(1), Value::Int(-1))],
-                        );
-                    }
-                    let _ = db.commit(&mut txn);
-                }
-            });
-            let merged = table.merge_delta_as(MergeDecision::Classic);
-            merge_done.store(true, Ordering::Relaxed);
-            racer.join().unwrap();
-            merged
-        })?;
+        let raced: Vec<i64> = (0..8)
+            .map(|k| working - 1 - (round * 8 + k) % working)
+            .collect();
+        merge_with_racer(&db, &table, &raced, 1)?;
     }
     Ok(F7cRun {
         commits,
@@ -895,8 +1152,8 @@ fn f7c_run(working: i64, window: Duration) -> hana_common::Result<F7cRun> {
 }
 
 /// Fig 7c: writer-observed stall during merge publication — the off-side
-/// build + constant-time swap — plus the background MVCC GC's reclaim
-/// counters under the same churn.
+/// build + constant-time swap — across main sizes, plus the background MVCC
+/// GC's reclaim counters under churn and its steady-state sweep cost.
 fn fig07c() -> hana_common::Result<()> {
     let working = scale(24_000);
     let window = scale_duration(Duration::from_millis(1_500));
@@ -946,6 +1203,45 @@ fn fig07c() -> hana_common::Result<()> {
             ],
         ],
     );
+
+    // The exclusive hold of one quiesced merge (a 2k-row L2 into the main,
+    // 8 raced updates) as the main grows, and the steady-state GC sweep over
+    // a main whose first 1k rows were updated once.
+    let mut rows = Vec::new();
+    for main_rows in [scale(10_000), scale(40_000)] {
+        let stall = sample(|| {
+            let st = staged_sales(main_rows, Stage::Main, 7);
+            fill_l2(&st, main_rows, 2_000, 13);
+            st.table.reset_publication_stall();
+            let raced: Vec<i64> = (0..8).map(|k| k * 97).collect();
+            merge_with_racer(&st.db, &st.table, &raced, fact_cols::AMOUNT).unwrap();
+            st.table.total_publication_stall_ns() as f64 / 1e3
+        });
+        let st = staged_sales(main_rows, Stage::Main, 7);
+        let mut txn = st.db.begin(IsolationLevel::Transaction);
+        for k in 0..1_000i64 {
+            st.table.update_where(
+                &txn,
+                ColumnId(fact_cols::ORDER_ID as u16),
+                &Value::Int(k % main_rows),
+                &[(ColumnId(fact_cols::AMOUNT as u16), Value::Int(k))],
+            )?;
+        }
+        st.db.commit(&mut txn)?;
+        // The first sweep resolves the marks and memoizes the parts.
+        st.table.gc_sweep();
+        let sweep = sample(|| time_ms(|| st.table.gc_sweep()).0 * 1e3);
+        rows.push(vec![main_rows.to_string(), stall.cell(1), sweep.cell(1)]);
+    }
+    report::emit(
+        "F7c stall and sweep vs main size",
+        &[
+            "main rows",
+            "publication lock (µs)",
+            "steady-state gc sweep (µs)",
+        ],
+        &rows,
+    );
     Ok(())
 }
 
@@ -958,21 +1254,30 @@ fn fig08() -> hana_common::Result<()> {
         ("classic", MergeDecision::Classic),
         ("re-sorting", MergeDecision::ReSorting),
     ] {
-        let st = staged_sales(0, Stage::L2, 7);
-        fill_l2(&st, 0, n, 13);
-        let (t, _) = time(|| st.table.merge_delta_as(decision).unwrap());
-        let stats = st.table.stage_stats();
+        let mut merged = None;
+        let t = sample(|| {
+            let st = staged_sales(0, Stage::L2, 7);
+            fill_l2(&st, 0, n, 13);
+            let (t, _) = time_ms(|| st.table.merge_delta_as(decision).unwrap());
+            assert_eq!(st.table.stage_stats().main_rows as i64, n);
+            merged = Some(st);
+            t
+        });
+        let st = merged.expect("sampled at least once");
         let snap = Snapshot::at(st.db.txn_manager().now());
-        let (t_scan, _) = time(|| {
+        let scan = sample(|| {
             let read = st.table.read_at(snap);
-            read.group_aggregate(fact_cols::CITY, fact_cols::AMOUNT)
-                .unwrap()
+            time_ms(|| {
+                read.group_aggregate(fact_cols::CITY, fact_cols::AMOUNT)
+                    .unwrap()
+            })
+            .0
         });
         rows.push(vec![
             name.into(),
-            ms(t),
-            stats.main_data_bytes.to_string(),
-            ms(t_scan),
+            t.cell(2),
+            st.table.stage_stats().main_data_bytes.to_string(),
+            scan.cell(2),
         ]);
     }
     report::emit(
@@ -996,10 +1301,7 @@ fn fig09() -> hana_common::Result<()> {
     for main_rows in [scale(20_000), scale(80_000), scale(240_000)] {
         let mut line = vec![main_rows.to_string()];
         for decision in [MergeDecision::Classic, MergeDecision::Partial] {
-            let st = staged_sales(main_rows, Stage::Main, 7);
-            fill_l2(&st, main_rows, delta, 13);
-            let (t, _) = time(|| st.table.merge_delta_as(decision).unwrap());
-            line.push(ms(t));
+            line.push(sample(|| merge_ms(main_rows, delta, decision)).cell(2));
         }
         rows.push(line);
     }
@@ -1026,40 +1328,44 @@ fn fig10() -> hana_common::Result<()> {
         } else {
             MergeDecision::Classic
         })?;
+        assert_eq!(st.table.stage_stats().main_parts, if split { 2 } else { 1 });
         let snap = Snapshot::at(st.db.txn_manager().now());
-        let (t_point, _) = time(|| {
-            for k in 0..500i64 {
-                let read = st.table.read_at(snap);
-                let r = read
-                    .point(fact_cols::ORDER_ID, &Value::Int(k * 181 % (base + delta)))
-                    .unwrap();
-                assert_eq!(r.len(), 1);
-            }
-        });
-        let (t_range, n) = time(|| {
+        let point = sample(|| point_us(&st.table, snap, base + delta));
+        let mut hits = 0;
+        let range = sample(|| {
             let read = st.table.read_at(snap);
-            read.range(
-                fact_cols::CITY,
-                Bound::Included(&Value::str("C")),
-                Bound::Excluded(&Value::str("M")),
-            )
-            .unwrap()
-            .len()
+            let (t, n) = time_ms(|| {
+                read.range(
+                    fact_cols::CITY,
+                    Bound::Included(&Value::str("C")),
+                    Bound::Excluded(&Value::str("M")),
+                )
+                .unwrap()
+                .len()
+            });
+            hits = n;
+            t
         });
+        let layout = if split {
+            "passive + active (2 parts)"
+        } else {
+            "single main"
+        };
         rows.push(vec![
-            if split {
-                "passive + active (2 parts)"
-            } else {
-                "single main"
-            }
-            .into(),
-            format!("{:.1}", t_point.as_secs_f64() * 1e6 / 500.0),
-            format!("{} rows in {}", n, ms(t_range)),
+            layout.into(),
+            point.cell(1),
+            hits.to_string(),
+            range.cell(2),
         ]);
     }
     report::emit(
         "F10 passive+active main",
-        &["main layout", "point lookup (µs)", "range C%..M% (ms)"],
+        &[
+            "main layout",
+            "point lookup (µs)",
+            "range C%..M% rows",
+            "range C%..M% (ms)",
+        ],
         &rows,
     );
     Ok(())
@@ -1080,37 +1386,40 @@ fn fig10b() -> hana_common::Result<()> {
             ("fsync/commit", CommitConfig::serial()),
             ("group", CommitConfig::default()),
         ] {
-            let dir = tempfile::tempdir()
-                .map_err(|e| hana_common::HanaError::Persist(format!("tempdir: {e}")))?;
-            let db = Database::open(dir.path())?;
-            db.set_commit_config(cfg);
-            // Keep the L1 small via the lifecycle daemon (as M1 does), so
-            // insert cost stays flat and the commit path dominates.
-            let tcfg = TableConfig {
-                l1_max_rows: 256,
-                l2_max_rows: 1_000_000,
-                ..TableConfig::default()
-            };
-            let ds = SalesDataset::load(&db, tcfg, orders, CUSTOMERS, PRODUCTS, 7)?;
-            db.start_merge_daemon(Duration::from_millis(1));
-            let before = db.log_stats().unwrap_or_default();
-            let engine = DurableOltp {
-                db: Arc::clone(&db),
-                table: Arc::clone(&ds.sales),
-            };
-            // Insert-heavy, conflict-free mix: measures the commit path,
-            // not Zipf-hot-key contention (that is M1's subject).
-            let driver = OltpDriver::new(orders, CUSTOMERS, PRODUCTS, 0.9).with_mix((85, 0, 15, 0));
-            let (t, rep) = time(|| driver.run_concurrent(&engine, threads, per_thread, 99));
-            let rep = rep?;
-            db.stop_merge_daemon();
-            let after = db.log_stats().unwrap_or_default();
-            let records = after.records - before.records;
-            let fsyncs = after.fsyncs - before.fsyncs;
+            // Each sample: a fresh durable database, the lifecycle daemon
+            // keeping the L1 small (as M1 does) so insert cost stays flat
+            // and the commit path dominates, and an insert-heavy,
+            // conflict-free mix (hot-key contention is M1's subject).
+            let (mut records, mut fsyncs) = (0, 0);
+            let rate = sample(|| {
+                let dir = tempdir().unwrap();
+                let db = Database::open(dir.path()).unwrap();
+                db.set_commit_config(cfg);
+                let tcfg = TableConfig {
+                    l1_max_rows: 256,
+                    l2_max_rows: 1_000_000,
+                    ..TableConfig::default()
+                };
+                let ds = SalesDataset::load(&db, tcfg, orders, CUSTOMERS, PRODUCTS, 7).unwrap();
+                db.start_merge_daemon(Duration::from_millis(1));
+                let before = db.log_stats().unwrap_or_default();
+                let engine = DurableOltp {
+                    db: Arc::clone(&db),
+                    table: Arc::clone(&ds.sales),
+                };
+                let driver =
+                    OltpDriver::new(orders, CUSTOMERS, PRODUCTS, 0.9).with_mix((85, 0, 15, 0));
+                let (t, rep) = time_ms(|| driver.run_concurrent(&engine, threads, per_thread, 99));
+                db.stop_merge_daemon();
+                let after = db.log_stats().unwrap_or_default();
+                records += after.records - before.records;
+                fsyncs += after.fsyncs - before.fsyncs;
+                rep.unwrap().committed as f64 / t * 1e3
+            });
             rows.push(vec![
                 format!("{threads}"),
                 mode.into(),
-                format!("{:.0}", rep.committed as f64 / t.as_secs_f64()),
+                rate.cell(0),
                 format!("{records}"),
                 format!("{fsyncs}"),
                 format!("{:.1}", records as f64 / fsyncs.max(1) as f64),
@@ -1123,8 +1432,8 @@ fn fig10b() -> hana_common::Result<()> {
             "writers",
             "mode",
             "commits/s",
-            "log records",
-            "fsyncs",
+            "log records (all samples)",
+            "fsyncs (all samples)",
             "records/fsync",
         ],
         &rows,
@@ -1136,37 +1445,44 @@ fn fig10b() -> hana_common::Result<()> {
 fn fig11() -> hana_common::Result<()> {
     let n = scale(20_000);
     let probe = scale(5_000);
+    const UPDATES: i64 = 200;
     println!("\n## F11 — lifecycle characteristics matrix ({n} rows/stage)\n");
     let mut rows = Vec::new();
     for stage in [Stage::L1, Stage::L2, Stage::Main] {
         let st = staged_sales(n, stage, 7);
         let snap = Snapshot::at(st.db.txn_manager().now());
-        // Write rate into this stage. The L1 rate is measured the way the
-        // system actually runs it — against a *small* L1 (the lifecycle
-        // keeps it at 10k–100k rows by merging); inserting into a bloated
-        // L1 degrades quadratically through the uniqueness scan.
-        let write_rate = match stage {
-            Stage::L1 => {
-                let fresh = staged_sales(0, Stage::L1, 77);
-                let (t, _) = time(|| fill_l1(&fresh, 1_000_000, probe, 31));
-                probe as f64 / t.as_secs_f64()
-            }
-            Stage::L2 | Stage::Main => {
-                let (t, _) = time(|| fill_l2(&st, 1_000_000, probe, 31));
-                probe as f64 / t.as_secs_f64()
-            }
-        };
-        let (t_point, _) = time(|| {
-            for k in 0..200i64 {
-                let read = st.table.read_at(snap);
-                read.point(fact_cols::ORDER_ID, &Value::Int(k * 97 % n))
-                    .unwrap();
-            }
+        // Write rate through this stage's entry path, into a fresh table:
+        // single-row transactions into a small L1 (the lifecycle keeps it
+        // at 10k–100k rows by merging; a bloated L1 slows every insert's
+        // uniqueness probe), the bulk path for L2 and main.
+        let write_rate = sample(|| {
+            let entry = if stage == Stage::L1 { stage } else { Stage::L2 };
+            let fresh = staged_sales(0, entry, 77);
+            let mut gen = DataGen::new(31);
+            let batch = (0..probe).map(|i| SalesSchema::fact_row(&mut gen, i, CUSTOMERS, PRODUCTS));
+            let (t, _) = time_ms(|| {
+                if stage == Stage::L1 {
+                    for row in batch {
+                        let mut txn = fresh.db.begin(IsolationLevel::Transaction);
+                        fresh.table.insert(&txn, row).unwrap();
+                        fresh.db.commit(&mut txn).unwrap();
+                    }
+                } else {
+                    let mut txn = fresh.db.begin(IsolationLevel::Transaction);
+                    fresh.table.bulk_load(&txn, batch.collect()).unwrap();
+                    fresh.db.commit(&mut txn).unwrap();
+                }
+            });
+            probe as f64 / t * 1e3
         });
-        let (t_scan, _) = time(|| {
+        let point = sample(|| point_us(&st.table, snap, n));
+        let scan = sample(|| {
             let read = st.table.read_at(snap);
-            read.group_aggregate(fact_cols::CITY, fact_cols::AMOUNT)
-                .unwrap()
+            time_ms(|| {
+                read.group_aggregate(fact_cols::CITY, fact_cols::AMOUNT)
+                    .unwrap()
+            })
+            .0
         });
         let stats = st.table.stage_stats();
         let bytes_per_row = match stage {
@@ -1174,11 +1490,31 @@ fn fig11() -> hana_common::Result<()> {
             Stage::L2 => stats.l2_bytes as f64 / (stats.l2_rows.max(1)) as f64,
             Stage::Main => stats.main_bytes as f64 / (stats.main_rows.max(1)) as f64,
         };
+        // Updating a row whose current version sits in this stage (last:
+        // it moves versions into the L1).
+        let update = sample(|| {
+            let (t, _) = time_ms(|| {
+                for k in 0..UPDATES {
+                    let mut txn = st.db.begin(IsolationLevel::Transaction);
+                    st.table
+                        .update_where(
+                            &txn,
+                            ColumnId(fact_cols::ORDER_ID as u16),
+                            &Value::Int(k * 7919 % n),
+                            &[(ColumnId(fact_cols::STATUS as u16), Value::Int(1))],
+                        )
+                        .unwrap();
+                    st.db.commit(&mut txn).unwrap();
+                }
+            });
+            t * 1e3 / UPDATES as f64
+        });
         rows.push(vec![
             format!("{stage:?}"),
-            format!("{write_rate:.0}"),
-            format!("{:.1}", t_point.as_secs_f64() * 1e6 / 200.0),
-            ms(t_scan),
+            write_rate.cell(0),
+            point.cell(1),
+            scan.cell(2),
+            update.cell(1),
             format!("{bytes_per_row:.0}"),
         ]);
     }
@@ -1189,6 +1525,7 @@ fn fig11() -> hana_common::Result<()> {
             "write rows/s",
             "point lookup (µs)",
             "group scan (ms)",
+            "update (µs)",
             "bytes/row",
         ],
         &rows,
@@ -1211,15 +1548,14 @@ fn fig11p() -> hana_common::Result<()> {
     use std::ops::Bound;
 
     let per_thread = (scale(8_000) / 8).max(100) as usize;
-    println!(
-        "\n## F11p — partition scaling ({per_thread} ops/thread, insert-heavy mix, best of 3)\n"
-    );
+    println!("\n## F11p — partition scaling ({per_thread} ops/thread, insert-heavy mix)\n");
     let mut rows = Vec::new();
     let mut base = 1.0f64; // 1-partition commits/s at the current writer count
     for &threads in &[1usize, 2, 4, 8] {
         for &parts in &[1usize, 8] {
-            let mut best = 0.0f64;
-            for round in 0..3u64 {
+            let mut round = 0;
+            let rate = sample(|| {
+                round += 1;
                 let db = Database::in_memory();
                 // One logical delta budget; `create_partitioned_table`
                 // divides it across the shards.
@@ -1228,11 +1564,13 @@ fn fig11p() -> hana_common::Result<()> {
                     l2_max_rows: 1_000_000,
                     ..TableConfig::default()
                 };
-                let table = db.create_partitioned_table(
-                    SalesSchema::fact(),
-                    tcfg,
-                    PartitionConfig::new(parts, fact_cols::ORDER_ID),
-                )?;
+                let table = db
+                    .create_partitioned_table(
+                        SalesSchema::fact(),
+                        tcfg,
+                        PartitionConfig::new(parts, fact_cols::ORDER_ID),
+                    )
+                    .unwrap();
                 db.start_merge_daemon(Duration::from_millis(1));
                 let engine = PartitionedOltp {
                     db: Arc::clone(&db),
@@ -1241,21 +1579,20 @@ fn fig11p() -> hana_common::Result<()> {
                 // Insert-heavy, conflict-free mix (as F10b): measures the
                 // sharded write path, not hot-key contention.
                 let driver = OltpDriver::new(0, CUSTOMERS, PRODUCTS, 0.9).with_mix((85, 0, 15, 0));
-                let (t, rep) = time(|| {
+                let (t, rep) = time_ms(|| {
                     driver.run_concurrent_partitioned(&engine, threads, per_thread, 99 + round)
                 });
-                let rep = rep?;
                 db.stop_merge_daemon();
-                best = best.max(rep.total.committed as f64 / t.as_secs_f64());
-            }
+                rep.unwrap().total.committed as f64 / t * 1e3
+            });
             if parts == 1 {
-                base = best;
+                base = rate.median;
             }
             rows.push(vec![
                 format!("{threads}"),
                 format!("{parts}"),
-                format!("{best:.0}"),
-                format!("{:.2}", best / base),
+                rate.cell(0),
+                format!("{:.2}", rate.median / base),
             ]);
         }
     }
@@ -1302,22 +1639,21 @@ fn fig11p() -> hana_common::Result<()> {
             Bound::Excluded(Value::Int(n / 10)),
         )];
         let snap = Snapshot::at(db.txn_manager().now());
-        let mut best = Duration::MAX;
         let mut matched = 0usize;
-        for _ in 0..3 {
+        let t = sample(|| {
             let read = table.read_at(snap);
-            let (t, (hits, _stats)) = time(|| read.scan_filtered(&preds, None).unwrap());
+            let (t, (hits, _stats)) = time_ms(|| read.scan_filtered(&preds, None).unwrap());
             matched = hits.len();
-            best = best.min(t);
-        }
+            t
+        });
         if parts == 1 {
-            scan_base = best.as_secs_f64();
+            scan_base = t.median;
         }
         scan_rows.push(vec![
             format!("{parts}"),
             matched.to_string(),
-            ms(best),
-            format!("{:.2}", scan_base / best.as_secs_f64()),
+            t.cell(2),
+            format!("{:.2}", scan_base / t.median),
         ]);
     }
     report::emit(
@@ -1578,7 +1914,7 @@ fn fig13() -> hana_common::Result<()> {
     let n_pages = scale(40_000) as usize;
     println!("\n## F13 — integrity envelope overhead ({n_pages} pages)\n");
     let payload = vec![0xA5u8; DEFAULT_PAGE_SIZE - hana_persist::ENVELOPE_HEADER];
-    let (t_seal, sealed) = time(|| {
+    let (t_seal, sealed) = time_ms(|| {
         let mut last = Vec::new();
         for i in 0..n_pages {
             last = seal(ArtifactKind::Page, i as u64, &payload);
@@ -1586,7 +1922,7 @@ fn fig13() -> hana_common::Result<()> {
         last
     });
     let salt = (n_pages - 1) as u64;
-    let (t_verify, _) = time(|| {
+    let (t_verify, _) = time_ms(|| {
         for _ in 0..n_pages {
             open_envelope(ArtifactKind::Page, salt, &sealed).unwrap();
         }
@@ -1598,11 +1934,11 @@ fn fig13() -> hana_common::Result<()> {
         &[
             vec![
                 "seal (checksum + frame)".into(),
-                format!("{:.2}", gb / t_seal.as_secs_f64()),
+                format!("{:.2}", gb / (t_seal / 1e3)),
             ],
             vec![
                 "verify (open_envelope)".into(),
-                format!("{:.2}", gb / t_verify.as_secs_f64()),
+                format!("{:.2}", gb / (t_verify / 1e3)),
             ],
         ],
     );
@@ -1612,13 +1948,12 @@ fn fig13() -> hana_common::Result<()> {
     // wall clocks. The CRC is the only work the envelope added to this
     // path, so the share bounds the logging overhead from above.
     let commits = scale(4_000);
-    let dir = tempfile::tempdir()
-        .map_err(|e| hana_common::HanaError::Persist(format!("tempdir: {e}")))?;
+    let dir = tempdir()?;
     let t_commit = {
         let db = Database::open(dir.path())?;
         let table = db.create_table(SalesSchema::fact(), TableConfig::default())?;
         let mut gen = DataGen::new(7);
-        let (t, r) = time(|| -> hana_common::Result<()> {
+        let (t, r) = time_ms(|| -> hana_common::Result<()> {
             for i in 0..commits {
                 let mut txn = db.begin(IsolationLevel::Transaction);
                 table.insert(
@@ -1634,16 +1969,16 @@ fn fig13() -> hana_common::Result<()> {
     };
     let log_bytes = std::fs::read(dir.path().join("redo.log"))
         .map_err(|e| hana_common::HanaError::Persist(format!("read redo.log: {e}")))?;
-    let passes = 9u32;
-    let (t_crc_all, _) = time(|| {
+    let passes = 9;
+    let (t_crc_all, _) = time_ms(|| {
         let mut acc = 0u32;
         for _ in 0..passes {
             acc ^= crc32c(&log_bytes);
         }
         acc
     });
-    let t_crc = t_crc_all / passes;
-    let share = 100.0 * t_crc.as_secs_f64() / t_commit.as_secs_f64();
+    let t_crc = t_crc_all / passes as f64;
+    let share = 100.0 * t_crc / t_commit;
     report::emit(
         "F13 commit checksum share",
         &[
@@ -1656,8 +1991,8 @@ fn fig13() -> hana_common::Result<()> {
         &[vec![
             commits.to_string(),
             log_bytes.len().to_string(),
-            ms(t_commit),
-            ms(t_crc),
+            format!("{t_commit:.2}"),
+            format!("{t_crc:.2}"),
             format!("{share:.2}"),
         ]],
     );
@@ -1677,15 +2012,12 @@ fn fig13() -> hana_common::Result<()> {
         l2_max_rows: usize::MAX / 2,
         ..TableConfig::default()
     };
-    let best_scan = |db: &Arc<Database>, table: &Arc<hana_core::UnifiedTable>| {
+    let scan = |db: &Database, table: &Arc<UnifiedTable>| {
         let snap = Snapshot::at(db.txn_manager().now());
-        let mut best = Duration::MAX;
-        for _ in 0..3 {
+        sample(|| {
             let read = table.read_at(snap);
-            let (t, _) = time(|| read.aggregate_numeric(fact_cols::AMOUNT).unwrap());
-            best = best.min(t);
-        }
-        best
+            time_ms(|| read.aggregate_numeric(fact_cols::AMOUNT).unwrap()).0
+        })
     };
 
     let mem_db = Database::in_memory();
@@ -1694,10 +2026,9 @@ fn fig13() -> hana_common::Result<()> {
     mem_table.bulk_load(&txn, build_batch())?;
     mem_db.commit(&mut txn)?;
     mem_table.merge_delta_as(MergeDecision::Classic)?;
-    let t_mem = best_scan(&mem_db, &mem_table);
+    let t_mem = scan(&mem_db, &mem_table);
 
-    let dir = tempfile::tempdir()
-        .map_err(|e| hana_common::HanaError::Persist(format!("tempdir: {e}")))?;
+    let dir = tempdir()?;
     {
         let db = Database::open(dir.path())?;
         let table = db.create_table(SalesSchema::fact(), big)?;
@@ -1707,9 +2038,9 @@ fn fig13() -> hana_common::Result<()> {
         table.merge_delta_as(MergeDecision::Classic)?;
         db.savepoint()?;
     }
-    let (t_open, db) = time(|| Database::open(dir.path()).unwrap());
+    let (t_open, db) = time_ms(|| Database::open(dir.path()).unwrap());
     let table = db.table("sales")?;
-    let t_disk = best_scan(&db, &table);
+    let t_disk = scan(&db, &table);
     let stats = db.integrity_stats().unwrap_or_default();
     assert_eq!(stats.total_corruptions(), 0, "pristine files: {stats:?}");
     report::emit(
@@ -1724,11 +2055,11 @@ fn fig13() -> hana_common::Result<()> {
         ],
         &[vec![
             n.to_string(),
-            ms(t_open),
+            format!("{t_open:.2}"),
             stats.pages_verified.to_string(),
-            ms(t_mem),
-            ms(t_disk),
-            format!("{:.2}", t_disk.as_secs_f64() / t_mem.as_secs_f64()),
+            t_mem.cell(2),
+            t_disk.cell(2),
+            format!("{:.2}", t_disk.median / t_mem.median),
         ]],
     );
     Ok(())
@@ -1744,46 +2075,81 @@ fn myth() -> hana_common::Result<()> {
         l2_max_rows: 1_000_000,
         ..TableConfig::default()
     };
-    let mut rows = Vec::new();
-    {
+    // Each sample loads a fresh table and runs the ERP mix on it (the
+    // unified table with the merge daemon keeping its L1 small). The
+    // paper's "very selective point queries" run on one more settled
+    // table: 1 000 lookups of existing orders, each of which must be found.
+    let unified = || {
         let db = Database::in_memory();
-        let ds = SalesDataset::load(&db, cfg.clone(), orders, CUSTOMERS, PRODUCTS, 7)?;
-        ds.settle()?;
-        db.start_merge_daemon(Duration::from_millis(1));
+        let ds = SalesDataset::load(&db, cfg.clone(), orders, CUSTOMERS, PRODUCTS, 7).unwrap();
+        ds.settle().unwrap();
         let engine = UnifiedOltp {
             table: Arc::clone(&ds.sales),
             mgr: Arc::clone(db.txn_manager()),
         };
-        let driver = OltpDriver::new(orders, CUSTOMERS, PRODUCTS, 0.9);
-        let mut gen = DataGen::new(99);
-        let (t, rep) = time(|| driver.run(&engine, &mut gen, ops).unwrap());
-        db.stop_merge_daemon();
-        rows.push(vec![
-            "unified table".into(),
-            format!("{:.0}", rep.committed as f64 / t.as_secs_f64()),
-            rep.conflicts.to_string(),
-        ]);
-    }
-    {
+        (db, engine)
+    };
+    let row = || {
         let mgr = TxnManager::new();
-        let table = Arc::new(load_row_baseline(
-            Arc::clone(&mgr),
-            orders,
-            CUSTOMERS,
-            PRODUCTS,
-            7,
-        )?);
-        let engine = RowOltp { table, mgr };
+        let table = load_row_baseline(Arc::clone(&mgr), orders, CUSTOMERS, PRODUCTS, 7).unwrap();
+        RowOltp {
+            table: Arc::new(table),
+            mgr,
+        }
+    };
+    let mut conflicts = [0u64; 2];
+    let mut mix = |engine_index: usize, engine: &dyn OltpEngine| {
         let driver = OltpDriver::new(orders, CUSTOMERS, PRODUCTS, 0.9);
-        let mut gen = DataGen::new(99);
-        let (t, rep) = time(|| driver.run(&engine, &mut gen, ops).unwrap());
-        rows.push(vec![
-            "row store (P*Time-style)".into(),
-            format!("{:.0}", rep.committed as f64 / t.as_secs_f64()),
-            rep.conflicts.to_string(),
-        ]);
-    }
-    report::emit("M1 OLTP", &["engine", "OLTP ops/s", "conflicts"], &rows);
+        let (t, rep) = time_ms(|| driver.run(engine, &mut DataGen::new(99), ops).unwrap());
+        conflicts[engine_index] += rep.conflicts;
+        rep.committed as f64 / t * 1e3
+    };
+    let unified_rate = sample(|| {
+        let (db, engine) = unified();
+        db.start_merge_daemon(Duration::from_millis(1));
+        let rate = mix(0, &engine);
+        db.stop_merge_daemon();
+        rate
+    });
+    let row_rate = sample(|| mix(1, &row()));
+    let lookup = |engine: &dyn OltpEngine| {
+        sample(|| {
+            time_ms(|| {
+                for k in 0..1_000 {
+                    assert!(engine.execute(&OltpOp::Lookup(k * 7919 % orders)).unwrap());
+                }
+            })
+            .0
+        })
+    };
+    let (_db, engine) = unified();
+    let rows = [
+        ("unified table", unified_rate, lookup(&engine), conflicts[0]),
+        (
+            "row store (P*Time-style)",
+            row_rate,
+            lookup(&row()),
+            conflicts[1],
+        ),
+    ]
+    .map(|(name, rate, lookup, conflicts)| {
+        vec![
+            name.into(),
+            rate.cell(0),
+            conflicts.to_string(),
+            lookup.cell(2),
+        ]
+    });
+    report::emit(
+        "M1 OLTP",
+        &[
+            "engine",
+            "OLTP ops/s",
+            "conflicts (all samples)",
+            "point lookup (µs)",
+        ],
+        &rows,
+    );
 
     let olap_rows = scale(50_000);
     println!("\n## M2 — OLAP query set ({olap_rows} rows) + mixed HTAP\n");
@@ -1802,14 +2168,15 @@ fn myth() -> hana_common::Result<()> {
     let mut rows = Vec::new();
     for &q in ALL_QUERIES {
         let snap_u = Snapshot::at(db.txn_manager().now());
-        let (tu, _) = time(|| OlapRunner::new(snap_u).run_unified(&ds.sales, q).unwrap());
+        let tu =
+            sample(|| time_ms(|| OlapRunner::new(snap_u).run_unified(&ds.sales, q).unwrap()).0);
         let snap_r = Snapshot::at(mgr.now());
-        let (tr, _) = time(|| OlapRunner::new(snap_r).run_row_baseline(&row, q));
+        let tr = sample(|| time_ms(|| OlapRunner::new(snap_r).run_row_baseline(&row, q)).0);
         rows.push(vec![
             format!("{q:?}"),
-            ms(tu),
-            ms(tr),
-            format!("{:.2}x", tr.as_secs_f64() / tu.as_secs_f64()),
+            tu.cell(2),
+            tr.cell(2),
+            format!("{:.2}x", tr.median / tu.median),
         ]);
     }
     report::emit(
@@ -1818,30 +2185,45 @@ fn myth() -> hana_common::Result<()> {
         &rows,
     );
 
-    let cfg = TableConfig {
-        l1_max_rows: 256,
-        l2_max_rows: 1_000_000,
-        ..TableConfig::default()
-    };
-    let htap_secs = scale_duration(Duration::from_secs(2));
-    let db = Database::in_memory();
-    let ds = SalesDataset::load(&db, cfg, orders, CUSTOMERS, PRODUCTS, 7)?;
-    ds.settle()?;
-    db.start_merge_daemon(Duration::from_millis(1));
-    let report = MixedWorkload {
-        writers: 3,
-        readers: 2,
-        duration: htap_secs,
-        skew: 0.9,
-    }
-    .run(&db, &ds)?;
-    db.stop_merge_daemon();
-    println!(
-        "mixed HTAP (3 writers + 2 readers + merge daemon, {:.1} s): {:.0} OLTP ops/s, {:.1} OLAP queries/s, {} conflicts\n",
-        htap_secs.as_secs_f64(),
-        report.oltp_throughput(),
-        report.olap_throughput(),
-        report.oltp_conflicts
+    // Mixed HTAP: 3 writers + 2 readers + the merge daemon on one table,
+    // each sample a fresh database.
+    let window = scale_duration(Duration::from_secs(2));
+    let (mut olap, mut conflicts) = (Vec::new(), 0);
+    let oltp = sample(|| {
+        let db = Database::in_memory();
+        let ds = SalesDataset::load(&db, cfg.clone(), orders, CUSTOMERS, PRODUCTS, 7).unwrap();
+        ds.settle().unwrap();
+        db.start_merge_daemon(Duration::from_millis(1));
+        let rep = MixedWorkload {
+            writers: 3,
+            readers: 2,
+            duration: window,
+            skew: 0.9,
+        }
+        .run(&db, &ds)
+        .unwrap();
+        db.stop_merge_daemon();
+        olap.push(rep.olap_throughput());
+        conflicts += rep.oltp_conflicts;
+        rep.oltp_throughput()
+    });
+    report::emit(
+        "M2 mixed HTAP",
+        &[
+            "run",
+            "OLTP ops/s",
+            "OLAP queries/s",
+            "conflicts (all samples)",
+        ],
+        &[vec![
+            format!(
+                "3 writers + 2 readers + merge daemon, {:.1} s",
+                window.as_secs_f64()
+            ),
+            oltp.cell(0),
+            Summary::of(&olap).cell(1),
+            conflicts.to_string(),
+        ]],
     );
     Ok(())
 }

@@ -1,8 +1,10 @@
-//! Shared fixtures for the figure benches and the `repro` harness.
+//! Shared fixtures for the `repro` harness.
 //!
-//! Each bench regenerates the behavioural claim of one paper figure (see
-//! DESIGN.md §4). The helpers here build tables in precisely controlled
-//! lifecycle states so benches measure exactly one mechanism.
+//! Each `repro` section regenerates the behavioural claim of one paper
+//! figure (see DESIGN.md §4). The helpers here build tables in precisely
+//! controlled lifecycle states so a section measures exactly one mechanism,
+//! time each case [`samples`] times, and record every table for the JSON
+//! report.
 
 use hana_common::{TableConfig, Value};
 use hana_core::{Database, UnifiedTable};
@@ -141,6 +143,85 @@ pub fn scale_duration(d: std::time::Duration) -> std::time::Duration {
     }
 }
 
+/// Samples per timed case in full mode.
+const SAMPLES: usize = 7;
+/// Samples per timed case in quick mode.
+const QUICK_SAMPLES: usize = 3;
+
+/// How many times [`sample`] runs a case in the current mode.
+pub fn samples() -> usize {
+    if quick_mode() {
+        QUICK_SAMPLES
+    } else {
+        SAMPLES
+    }
+}
+
+/// The spread of one case's samples: median and quartiles, linearly
+/// interpolated between order statistics.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Summary {
+    /// The median sample.
+    pub median: f64,
+    /// The first quartile.
+    pub q1: f64,
+    /// The third quartile.
+    pub q3: f64,
+}
+
+impl Summary {
+    /// Summarize `xs`.
+    ///
+    /// # Panics
+    /// Panics if `xs` is empty.
+    pub fn of(xs: &[f64]) -> Summary {
+        assert!(!xs.is_empty(), "no samples");
+        let mut v = xs.to_vec();
+        v.sort_by(f64::total_cmp);
+        let q = |p: f64| {
+            let at = p * (v.len() - 1) as f64;
+            let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+            v[lo] + (v[hi] - v[lo]) * (at - lo as f64)
+        };
+        Summary {
+            median: q(0.5),
+            q1: q(0.25),
+            q3: q(0.75),
+        }
+    }
+
+    /// The interquartile range.
+    pub fn iqr(&self) -> f64 {
+        self.q3 - self.q1
+    }
+
+    /// A table cell: `median ± IQR` at `decimals` places. [`report::to_json`]
+    /// turns cells of this shape into `{"median":…,"iqr":…}`.
+    pub fn cell(&self, decimals: usize) -> String {
+        format!("{:.decimals$} ± {:.decimals$}", self.median, self.iqr())
+    }
+}
+
+/// Run `case` [`samples`] times and summarize the value it returns each
+/// time — a duration it timed itself or a rate it computed — so set-up
+/// inside the case stays out of the number.
+pub fn sample(mut case: impl FnMut() -> f64) -> Summary {
+    let xs: Vec<f64> = (0..samples()).map(|_| case()).collect();
+    Summary::of(&xs)
+}
+
+/// Wall time of `f` in milliseconds, with its result.
+pub fn time_ms<R>(f: impl FnOnce() -> R) -> (f64, R) {
+    let t0 = std::time::Instant::now();
+    let r = f();
+    (t0.elapsed().as_secs_f64() * 1e3, r)
+}
+
+/// Logical cores the harness may use (`available_parallelism`).
+pub fn logical_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Machine-readable mirror of the repro harness's markdown tables. Each
 /// recorded section becomes one JSON object; [`report::write_json`] dumps
 /// them to the path in `REPRO_JSON` so CI can archive the numbers.
@@ -185,9 +266,26 @@ pub mod report {
         format!("[{}]", items.collect::<Vec<_>>().join(","))
     }
 
-    /// Serialize every recorded section. Rows become objects keyed by the
-    /// column headers.
+    /// A cell as a JSON value: a sampled `median ± IQR` cell (see
+    /// [`Summary::cell`](super::Summary::cell)) becomes an object of two
+    /// numbers, anything else a string.
+    fn json_cell(v: &str) -> String {
+        let finite = |x: &str| x.parse::<f64>().is_ok_and(f64::is_finite);
+        match v.split_once(" ± ") {
+            Some((m, i)) if finite(m) && finite(i) => format!("{{\"median\":{m},\"iqr\":{i}}}"),
+            _ => format!("\"{}\"", json_escape(v)),
+        }
+    }
+
+    /// Serialize the host shape and every recorded section. Rows become
+    /// objects keyed by the column headers.
     pub fn to_json() -> String {
+        let host = format!(
+            "{{\"logical_cores\":{},\"mode\":\"{}\",\"samples\":{}}}",
+            super::logical_cores(),
+            json_escape(if super::quick_mode() { "quick" } else { "full" }),
+            super::samples()
+        );
         let sections = SECTIONS.lock().expect("report mutex");
         let body = json_array(sections.iter().map(|s| {
             let rows = json_array(s.rows.iter().map(|row| {
@@ -195,7 +293,7 @@ pub mod report {
                     .headers
                     .iter()
                     .zip(row)
-                    .map(|(h, v)| format!("\"{}\":\"{}\"", json_escape(h), json_escape(v)))
+                    .map(|(h, v)| format!("\"{}\":{}", json_escape(h), json_cell(v)))
                     .collect();
                 format!("{{{}}}", fields.join(","))
             }));
@@ -205,7 +303,7 @@ pub mod report {
                 rows
             )
         }));
-        format!("{{\"sections\":{body}}}\n")
+        format!("{{\"host\":{host},\"sections\":{body}}}\n")
     }
 
     /// Write the JSON dump to the path in `REPRO_JSON`, if set.
@@ -217,5 +315,48 @@ pub mod report {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn summary_interpolates_median_and_quartiles() {
+        let odd = Summary::of(&[5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!(
+            (odd.median, odd.q1, odd.q3, odd.iqr()),
+            (3.0, 2.0, 4.0, 2.0)
+        );
+        let even = Summary::of(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!((even.median, even.q1, even.q3), (2.5, 1.75, 3.25));
+        let one = Summary::of(&[7.0]);
+        assert_eq!((one.median, one.iqr()), (7.0, 0.0));
+        assert_eq!(even.cell(2), "2.50 ± 1.50");
+    }
+
+    #[test]
+    fn json_carries_the_host_and_escapes_strings() {
+        report::emit(
+            "T \"quoted\"\tsection",
+            &["case", "time (ms)", "rate"],
+            &[vec![
+                "a\\b".into(),
+                Summary::of(&[1.0, 2.0, 3.0]).cell(1),
+                "inf ± NaN".into(),
+            ]],
+        );
+        let json = report::to_json();
+        let mode = if quick_mode() { "quick" } else { "full" };
+        assert!(json.starts_with(&format!(
+            "{{\"host\":{{\"logical_cores\":{},\"mode\":\"{mode}\",\"samples\":{}}},",
+            logical_cores(),
+            samples()
+        )));
+        assert!(json.contains("\"section\":\"T \\\"quoted\\\"\\tsection\""));
+        assert!(json.contains(
+            "{\"case\":\"a\\\\b\",\"time (ms)\":{\"median\":2.0,\"iqr\":1.0},\"rate\":\"inf ± NaN\"}"
+        ));
     }
 }

@@ -33,7 +33,7 @@
 //!    loop, kept for property tests and the repro/bench comparisons.
 
 use crate::kernel::{BlockPlan, CodeMatcher};
-use crate::{bits_for, Bitmap, Code, Pos};
+use crate::{bits_for, Bitmap, Code};
 
 /// Rows decoded per block in the unpack-based kernels (16 KiB of codes —
 /// comfortably L1-cache resident).
@@ -263,13 +263,6 @@ impl BitPackedVec {
         }
     }
 
-    /// Decode positions `[start, start+out.len())` into `out` (block decode
-    /// used by the scan kernels; the caller guarantees the range is valid).
-    #[inline]
-    pub fn decode_block(&self, start: usize, out: &mut [Code]) {
-        self.unpack_block(start, out);
-    }
-
     /// Re-encode through a mapping table at a (possibly wider) width — the
     /// merge's "same or an increased number of bits" recode step. `map[old]`
     /// yields the new code. Runs blockwise: unpack, map in place, bulk
@@ -289,36 +282,6 @@ impl BitPackedVec {
             i += n;
         }
         out
-    }
-
-    /// Positions whose code equals `code`.
-    pub fn scan_eq(&self, code: Code, out: &mut Vec<Pos>) {
-        self.scan_positions(code as u64, code as u64 + 1, out);
-    }
-
-    /// Positions whose code lies in `range` (half-open).
-    pub fn scan_range(&self, range: std::ops::Range<Code>, out: &mut Vec<Pos>) {
-        self.scan_positions(range.start as u64, range.end as u64, out);
-    }
-
-    /// Shared position-list scan: run the word-parallel interval kernel
-    /// into a hit bitmap, then convert hit words to positions. The plan's
-    /// NULL sentinel is placed outside the code domain — plain scans have
-    /// no NULL semantics.
-    fn scan_positions(&self, lo: u64, hi: u64, out: &mut Vec<Pos>) {
-        if lo >= hi || self.len == 0 {
-            return;
-        }
-        let plan = BlockPlan {
-            lo,
-            hi,
-            null: u64::MAX,
-            add_null: false,
-        };
-        let mut hits = Bitmap::zeros(self.len);
-        self.filter_interval(0, self.len, &plan, &mut hits, 0);
-        out.reserve(hits.count_ones());
-        out.extend(hits.iter_ones().map(|p| p as Pos));
     }
 
     /// Compressed-domain filter kernel: set bit `k` of `out` when the code
@@ -789,6 +752,7 @@ unsafe fn hit_word_avx2(chunk: &[Code], plan: &BlockPlan) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::{matching_positions, CodeVector};
     use crate::kernel::{CodeFilter, CodeMatcher};
 
     #[test]
@@ -910,14 +874,12 @@ mod tests {
     #[test]
     fn scan_eq_and_range() {
         let codes: Vec<Code> = (0..1000).map(|i| i % 7).collect();
-        let v = BitPackedVec::from_codes(&codes);
-        let mut hits = Vec::new();
-        v.scan_eq(3, &mut hits);
+        let v = CodeVector::BitPacked(BitPackedVec::from_codes(&codes));
+        let hits = matching_positions(&v, CodeFilter::eq(3));
         assert_eq!(hits.len(), codes.iter().filter(|&&c| c == 3).count());
         assert!(hits.iter().all(|&p| codes[p as usize] == 3));
 
-        let mut range_hits = Vec::new();
-        v.scan_range(2..5, &mut range_hits);
+        let range_hits = matching_positions(&v, CodeFilter::range(2..5));
         assert_eq!(
             range_hits.len(),
             codes.iter().filter(|&&c| (2..5).contains(&c)).count()

@@ -8,7 +8,7 @@
 
 use crate::bitpack::BitPackedVec;
 use crate::kernel::CodeMatcher;
-use crate::{bits_for, Bitmap, Code, Pos};
+use crate::{bits_for, Bitmap, Code};
 
 #[derive(Debug, Clone)]
 enum Block {
@@ -119,50 +119,6 @@ impl Cluster {
         }
     }
 
-    /// Positions whose code equals `code`; single blocks match wholesale.
-    pub fn scan_eq(&self, code: Code, out: &mut Vec<Pos>) {
-        for (bi, b) in self.blocks.iter().enumerate() {
-            let start = bi * self.block_size;
-            let n = (self.len - start).min(self.block_size);
-            match b {
-                Block::Single(c) => {
-                    if *c == code {
-                        out.extend((start as Pos)..(start + n) as Pos);
-                    }
-                }
-                Block::Packed(v) => {
-                    let base = out.len();
-                    v.scan_eq(code, out);
-                    for p in &mut out[base..] {
-                        *p += start as Pos;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Positions whose code lies in `range`.
-    pub fn scan_range(&self, range: std::ops::Range<Code>, out: &mut Vec<Pos>) {
-        for (bi, b) in self.blocks.iter().enumerate() {
-            let start = bi * self.block_size;
-            let n = (self.len - start).min(self.block_size);
-            match b {
-                Block::Single(c) => {
-                    if range.contains(c) {
-                        out.extend((start as Pos)..(start + n) as Pos);
-                    }
-                }
-                Block::Packed(v) => {
-                    let base = out.len();
-                    v.scan_range(range.clone(), out);
-                    for p in &mut out[base..] {
-                        *p += start as Pos;
-                    }
-                }
-            }
-        }
-    }
-
     /// Compressed-domain filter kernel over positions `[start, end)`:
     /// single-valued blocks are evaluated **once** and set wholesale, packed
     /// blocks run through the word-parallel
@@ -205,6 +161,8 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::{matching_positions, CodeVector};
+    use crate::{CodeFilter, Pos};
 
     fn clustered_codes() -> Vec<Code> {
         // 4 blocks of 64: three uniform, one mixed.
@@ -236,9 +194,8 @@ mod tests {
     #[test]
     fn scan_eq_spans_blocks() {
         let codes = clustered_codes();
-        let cl = Cluster::from_codes(&codes, 64);
-        let mut out = Vec::new();
-        cl.scan_eq(2, &mut out);
+        let cl = CodeVector::Cluster(Cluster::from_codes(&codes, 64));
+        let out = matching_positions(&cl, CodeFilter::eq(2));
         let want: Vec<Pos> = codes
             .iter()
             .enumerate()
@@ -251,9 +208,8 @@ mod tests {
     #[test]
     fn scan_range_spans_blocks() {
         let codes = clustered_codes();
-        let cl = Cluster::from_codes(&codes, 64);
-        let mut out = Vec::new();
-        cl.scan_range(2..6, &mut out);
+        let cl = CodeVector::Cluster(Cluster::from_codes(&codes, 64));
+        let out = matching_positions(&cl, CodeFilter::range(2..6));
         let want: Vec<Pos> = codes
             .iter()
             .enumerate()

@@ -161,26 +161,6 @@ impl CodeVector {
         }
     }
 
-    /// Positions whose code equals `code`.
-    pub fn scan_eq(&self, code: Code, out: &mut Vec<Pos>) {
-        match self {
-            CodeVector::BitPacked(v) => v.scan_eq(code, out),
-            CodeVector::Rle(v) => v.scan_eq(code, out),
-            CodeVector::Sparse(v) => v.scan_eq(code, out),
-            CodeVector::Cluster(v) => v.scan_eq(code, out),
-        }
-    }
-
-    /// Positions whose code lies in the half-open `range`.
-    pub fn scan_range(&self, range: std::ops::Range<Code>, out: &mut Vec<Pos>) {
-        match self {
-            CodeVector::BitPacked(v) => v.scan_range(range, out),
-            CodeVector::Rle(v) => v.scan_range(range, out),
-            CodeVector::Sparse(v) => v.scan_range(range, out),
-            CodeVector::Cluster(v) => v.scan_range(range, out),
-        }
-    }
-
     /// Compressed-domain filter kernel: set bit `k` of `out` when the code
     /// at position `start + k` satisfies `m`, evaluating directly on the
     /// encoding (once per RLE run / sparse dominant / single-valued cluster
@@ -203,6 +183,16 @@ impl CodeVector {
             CodeVector::Cluster(v) => v.heap_size(),
         }
     }
+}
+
+/// Positions of `v` whose code `filter` matches, through the bitmap kernel
+/// with no reachable NULL: the position list the encoding tests compare
+/// against a reference.
+#[cfg(test)]
+pub(crate) fn matching_positions(v: &CodeVector, filter: crate::CodeFilter) -> Vec<Pos> {
+    let mut hits = Bitmap::zeros(v.len());
+    v.filter_range(0, v.len(), &CodeMatcher::new(filter, Code::MAX), &mut hits);
+    hits.iter_ones().map(|p| p as Pos).collect()
 }
 
 #[cfg(test)]
@@ -272,16 +262,15 @@ mod tests {
             CodeVector::Sparse(Sparse::from_codes(&codes, stats.dominant.unwrap().0)),
             CodeVector::Cluster(Cluster::from_codes(&codes, 256)),
         ];
-        let mut expect_eq = Vec::new();
-        encodings[0].scan_eq(5, &mut expect_eq);
-        let mut expect_rng = Vec::new();
-        encodings[0].scan_range(3..9, &mut expect_rng);
+        let eq = crate::CodeFilter::eq(5);
+        let range = crate::CodeFilter::range(3..9);
+        let expect_eq = matching_positions(&encodings[0], eq.clone());
+        let expect_rng = matching_positions(&encodings[0], range.clone());
+        assert_eq!(expect_eq.len(), codes.iter().filter(|&&c| c == 5).count());
         for e in &encodings[1..] {
-            let mut got = Vec::new();
-            e.scan_eq(5, &mut got);
+            let got = matching_positions(e, eq.clone());
             assert_eq!(got, expect_eq, "{:?}", e.encoding());
-            got.clear();
-            e.scan_range(3..9, &mut got);
+            let got = matching_positions(e, range.clone());
             assert_eq!(got, expect_rng, "{:?}", e.encoding());
         }
     }

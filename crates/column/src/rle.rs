@@ -5,7 +5,7 @@
 //! codes adjacently. Random access binary-searches a prefix-sum of run ends.
 
 use crate::kernel::CodeMatcher;
-use crate::{Bitmap, Code, Pos};
+use crate::{Bitmap, Code};
 
 /// Run-length encoded code vector.
 #[derive(Debug, Clone, Default)]
@@ -94,28 +94,6 @@ impl Rle {
         }
     }
 
-    /// Positions whose code equals `code` — whole matching runs at once.
-    pub fn scan_eq(&self, code: Code, out: &mut Vec<Pos>) {
-        let mut start = 0u32;
-        for &(c, end) in &self.runs {
-            if c == code {
-                out.extend(start..end);
-            }
-            start = end;
-        }
-    }
-
-    /// Positions whose code lies in `range`.
-    pub fn scan_range(&self, range: std::ops::Range<Code>, out: &mut Vec<Pos>) {
-        let mut start = 0u32;
-        for &(c, end) in &self.runs {
-            if range.contains(&c) {
-                out.extend(start..end);
-            }
-            start = end;
-        }
-    }
-
     /// Compressed-domain filter kernel over positions `[start, end)`: the
     /// matcher is evaluated **once per run**, and matching runs set their
     /// whole overlap with the window word-at-a-time. Bit `k` of `out` is
@@ -156,6 +134,8 @@ impl Rle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::{matching_positions, CodeVector};
+    use crate::CodeFilter;
 
     #[test]
     fn round_trip() {
@@ -179,18 +159,16 @@ mod tests {
     #[test]
     fn scan_eq_returns_full_runs() {
         let codes = vec![1, 1, 2, 1, 1, 1, 3];
-        let r = Rle::from_codes(&codes);
-        let mut out = Vec::new();
-        r.scan_eq(1, &mut out);
+        let r = CodeVector::Rle(Rle::from_codes(&codes));
+        let out = matching_positions(&r, CodeFilter::eq(1));
         assert_eq!(out, vec![0, 1, 3, 4, 5]);
     }
 
     #[test]
     fn scan_range() {
         let codes = vec![0, 0, 5, 5, 9, 9, 3];
-        let r = Rle::from_codes(&codes);
-        let mut out = Vec::new();
-        r.scan_range(3..9, &mut out);
+        let r = CodeVector::Rle(Rle::from_codes(&codes));
+        let out = matching_positions(&r, CodeFilter::range(3..9));
         assert_eq!(out, vec![2, 3, 6]);
     }
 

@@ -103,52 +103,6 @@ impl Sparse {
         }
     }
 
-    /// Positions whose code equals `code`.
-    pub fn scan_eq(&self, code: Code, out: &mut Vec<Pos>) {
-        if code == self.default_code {
-            // All positions except exception positions.
-            let mut k = 0;
-            for i in 0..self.len as Pos {
-                if k < self.exceptions.len() && self.exceptions[k].0 == i {
-                    k += 1;
-                } else {
-                    out.push(i);
-                }
-            }
-        } else {
-            out.extend(
-                self.exceptions
-                    .iter()
-                    .filter(|&&(_, c)| c == code)
-                    .map(|&(p, _)| p),
-            );
-        }
-    }
-
-    /// Positions whose code lies in `range`.
-    pub fn scan_range(&self, range: std::ops::Range<Code>, out: &mut Vec<Pos>) {
-        if range.contains(&self.default_code) {
-            let mut k = 0;
-            for i in 0..self.len as Pos {
-                if k < self.exceptions.len() && self.exceptions[k].0 == i {
-                    if range.contains(&self.exceptions[k].1) {
-                        out.push(i);
-                    }
-                    k += 1;
-                } else {
-                    out.push(i);
-                }
-            }
-        } else {
-            out.extend(
-                self.exceptions
-                    .iter()
-                    .filter(|&&(_, c)| range.contains(&c))
-                    .map(|&(p, _)| p),
-            );
-        }
-    }
-
     /// Compressed-domain filter kernel over positions `[start, end)`: the
     /// dominant code is evaluated **once**; only exceptions in the window
     /// are tested individually. Bit `k` of `out` is position `start + k`.
@@ -186,6 +140,8 @@ impl Sparse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::{matching_positions, CodeVector};
+    use crate::CodeFilter;
 
     fn sample() -> (Vec<Code>, Sparse) {
         let mut codes = vec![7 as Code; 100];
@@ -210,11 +166,9 @@ mod tests {
     #[test]
     fn scan_eq_default_and_exception() {
         let (codes, s) = sample();
-        let mut out = Vec::new();
-        s.scan_eq(1, &mut out);
-        assert_eq!(out, vec![3, 99]);
-        out.clear();
-        s.scan_eq(7, &mut out);
+        let s = CodeVector::Sparse(s);
+        assert_eq!(matching_positions(&s, CodeFilter::eq(1)), vec![3, 99]);
+        let out = matching_positions(&s, CodeFilter::eq(7));
         assert_eq!(out.len(), codes.iter().filter(|&&c| c == 7).count());
         assert!(!out.contains(&3));
     }
@@ -222,8 +176,8 @@ mod tests {
     #[test]
     fn scan_range_covering_default() {
         let (_, s) = sample();
-        let mut out = Vec::new();
-        s.scan_range(2..8, &mut out); // covers default 7 and exception 2
+        // Covers default 7 and exception 2.
+        let out = matching_positions(&CodeVector::Sparse(s), CodeFilter::range(2..8));
         assert_eq!(out.len(), 98); // all but positions 3 and 99 (code 1)
         assert!(out.contains(&50));
     }
@@ -231,8 +185,7 @@ mod tests {
     #[test]
     fn scan_range_excluding_default() {
         let (_, s) = sample();
-        let mut out = Vec::new();
-        s.scan_range(0..3, &mut out);
+        let out = matching_positions(&CodeVector::Sparse(s), CodeFilter::range(0..3));
         assert_eq!(out, vec![3, 50, 99]);
     }
 

@@ -2,8 +2,8 @@
 //! naive reference implementation.
 
 use hana_column::{
-    BitPackedVec, Bitmap, Cluster, CodeStats, CodeVector, GrowableInvertedIndex, InvertedIndex,
-    Rle, Sparse,
+    BitPackedVec, Bitmap, Cluster, CodeFilter, CodeMatcher, CodeStats, CodeVector,
+    GrowableInvertedIndex, InvertedIndex, Rle, Sparse,
 };
 use proptest::prelude::*;
 
@@ -18,6 +18,13 @@ fn reference_eq(codes: &[u32], code: u32) -> Vec<u32> {
         .filter(|&(_, &c)| c == code)
         .map(|(i, _)| i as u32)
         .collect()
+}
+
+/// Positions of `v` the bitmap kernel matches under `filter` (no NULLs).
+fn kernel_positions(v: &CodeVector, filter: CodeFilter) -> Vec<u32> {
+    let mut hits = Bitmap::zeros(v.len());
+    v.filter_range(0, v.len(), &CodeMatcher::new(filter, u32::MAX), &mut hits);
+    hits.iter_ones().map(|p| p as u32).collect()
 }
 
 fn reference_range(codes: &[u32], range: std::ops::Range<u32>) -> Vec<u32> {
@@ -59,11 +66,9 @@ proptest! {
             for (i, &c) in codes.iter().enumerate() {
                 prop_assert_eq!(v.get(i), c);
             }
-            let mut eq_hits = Vec::new();
-            v.scan_eq(probe, &mut eq_hits);
+            let eq_hits = kernel_positions(v, CodeFilter::eq(probe));
             prop_assert_eq!(eq_hits, reference_eq(&codes, probe), "eq {:?}", v.encoding());
-            let mut rng_hits = Vec::new();
-            v.scan_range(range.clone(), &mut rng_hits);
+            let rng_hits = kernel_positions(v, CodeFilter::range(range.clone()));
             prop_assert_eq!(rng_hits, reference_range(&codes, range.clone()), "range {:?}", v.encoding());
         }
     }

@@ -23,16 +23,14 @@ pub enum MergeStrategy {
 /// Tuning knobs for the merge machinery itself (as opposed to the
 /// per-table *scheduling* thresholds in [`TableConfig`]).
 ///
-/// Both degrees use `0` to mean "auto": size from the number of logical
-/// CPUs at runtime. `1` forces the serial paths.
+/// `0` means "auto": size from the number of logical CPUs at runtime. `1`
+/// forces the serial path. The merge daemon's pool size is not a table
+/// knob: it is the argument of `Database::start_merge_daemon_pool`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MergeConfig {
     /// Worker threads fanning out the per-column work (dictionary merge,
     /// recode, value-index rebuild) of one delta-to-main merge.
     pub column_parallelism: usize,
-    /// Worker threads in the merge daemon's pool, so several tables can
-    /// merge concurrently.
-    pub daemon_workers: usize,
 }
 
 impl MergeConfig {
@@ -40,19 +38,12 @@ impl MergeConfig {
     pub fn serial() -> Self {
         MergeConfig {
             column_parallelism: 1,
-            daemon_workers: 1,
         }
     }
 
     /// Builder-style override of the per-column fan-out degree.
     pub fn with_column_parallelism(mut self, workers: usize) -> Self {
         self.column_parallelism = workers;
-        self
-    }
-
-    /// Builder-style override of the daemon pool size.
-    pub fn with_daemon_workers(mut self, workers: usize) -> Self {
-        self.daemon_workers = workers;
         self
     }
 }
@@ -440,7 +431,6 @@ mod tests {
         assert_eq!(c.merge_strategy, MergeStrategy::Partial);
         assert!(c.historic);
         assert_eq!(c.merge.column_parallelism, 3);
-        assert_eq!(c.merge.daemon_workers, 1);
         assert_eq!(c.scan.scan_parallelism, 5);
     }
 
@@ -463,7 +453,6 @@ mod tests {
     fn merge_config_auto_by_default() {
         let m = MergeConfig::default();
         assert_eq!(m.column_parallelism, 0);
-        assert_eq!(m.daemon_workers, 0);
         assert_eq!(MergeConfig::serial().column_parallelism, 1);
     }
 

@@ -185,7 +185,9 @@ pub fn encode_config(e: &mut Encoder, c: &TableConfig) {
     e.u64(c.block_size as u64);
     e.bool(c.historic);
     e.u64(c.merge.column_parallelism as u64);
-    e.u64(c.merge.daemon_workers as u64);
+    // Formerly the merge daemon's pool size; the slot stays so the
+    // layout does not change.
+    e.u64(0);
     e.u64(c.scan.scan_parallelism as u64);
     match &c.partition {
         None => e.bool(false),
@@ -213,8 +215,8 @@ pub fn decode_config(d: &mut Decoder<'_>) -> Result<TableConfig> {
     let historic = d.bool()?;
     let merge = hana_common::MergeConfig {
         column_parallelism: d.u64()? as usize,
-        daemon_workers: d.u64()? as usize,
     };
+    d.u64()?; // the retired daemon pool-size slot
     let scan = hana_common::ScanConfig {
         scan_parallelism: d.u64()? as usize,
     };

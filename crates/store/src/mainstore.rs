@@ -25,7 +25,9 @@
 //! the part's own values, so no dictionary-derived code range ever matches
 //! it.
 
-use hana_column::{Bitmap, CodeStats, CodeVector, FrameVec, InvertedIndex, Pos, ZoneMap};
+use hana_column::{
+    Bitmap, CodeFilter, CodeMatcher, CodeStats, CodeVector, FrameVec, InvertedIndex, Pos, ZoneMap,
+};
 use hana_common::{is_committed_stamp, RowId, Schema, Timestamp, TxnId, Value, COMMIT_TS_MAX};
 use hana_dict::{Code, SortedDict};
 use parking_lot::Mutex;
@@ -480,9 +482,14 @@ impl MainPart {
         match &column.index {
             Some(index) => Cow::Borrowed(index.positions(code)),
             None => {
-                let mut out = Vec::new();
-                column.codes.scan_eq(code, &mut out);
-                Cow::Owned(out)
+                let null_code = self.null_code(col);
+                let mut m = CodeMatcher::new(CodeFilter::eq(code), null_code);
+                // NULL rows carry the sentinel code, so asking for it asks
+                // for them.
+                m.match_null = code == null_code;
+                let mut hits = Bitmap::zeros(self.len());
+                column.codes.filter_range(0, self.len(), &m, &mut hits);
+                Cow::Owned(hits.iter_ones().map(|p| p as Pos).collect())
             }
         }
     }
@@ -792,9 +799,6 @@ mod tests {
     fn null_positions_via_index() {
         let m = single_part(&[(1, Some("a")), (2, None), (3, None)]);
         let part = &m.parts()[0];
-        let mut hits = Vec::new();
-        part.code_vector(1).scan_eq(part.null_code(1), &mut hits);
-        assert_eq!(hits, vec![1, 2]);
         assert_eq!(
             part.positions_of_code(1, part.null_code(1)).as_ref(),
             &[1, 2]
@@ -820,12 +824,15 @@ mod tests {
             .collect();
         let mut out = Vec::new();
         for (pi, p) in m.parts().iter().enumerate() {
-            let mut hits: Vec<Pos> = Vec::new();
-            for r in ranges[..=pi].iter().filter(|r| !r.is_empty()) {
-                p.code_vector(col).scan_range(r.clone(), &mut hits);
-            }
-            hits.sort_unstable();
-            out.extend(hits.into_iter().map(|pos| PartHit { part: pi, pos }));
+            let filter = CodeFilter::ranges(ranges[..=pi].to_vec());
+            let mut hits = Bitmap::zeros(p.len());
+            let matcher = CodeMatcher::new(filter, p.null_code(col));
+            p.code_vector(col)
+                .filter_range(0, p.len(), &matcher, &mut hits);
+            out.extend(hits.iter_ones().map(|pos| PartHit {
+                part: pi,
+                pos: pos as Pos,
+            }));
         }
         out
     }
