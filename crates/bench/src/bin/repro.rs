@@ -1386,9 +1386,8 @@ fn fig10b() -> hana_common::Result<()> {
             ("fsync/commit", CommitConfig::serial()),
             ("group", CommitConfig::default()),
         ] {
-            // Each sample: a fresh durable database, the lifecycle daemon
-            // keeping the L1 small (as M1 does) so insert cost stays flat
-            // and the commit path dominates, and an insert-heavy,
+            // Each sample: a fresh durable database with the lifecycle
+            // daemon running (as M1 does), and an insert-heavy,
             // conflict-free mix (hot-key contention is M1's subject).
             let (mut records, mut fsyncs) = (0, 0);
             let rate = sample(|| {
@@ -1452,9 +1451,8 @@ fn fig11() -> hana_common::Result<()> {
         let st = staged_sales(n, stage, 7);
         let snap = Snapshot::at(st.db.txn_manager().now());
         // Write rate through this stage's entry path, into a fresh table:
-        // single-row transactions into a small L1 (the lifecycle keeps it
-        // at 10k–100k rows by merging; a bloated L1 slows every insert's
-        // uniqueness probe), the bulk path for L2 and main.
+        // single-row transactions into the L1, the bulk path for L2 and
+        // main.
         let write_rate = sample(|| {
             let entry = if stage == Stage::L1 { stage } else { Stage::L2 };
             let fresh = staged_sales(0, entry, 77);
@@ -1530,6 +1528,61 @@ fn fig11() -> hana_common::Result<()> {
         ],
         &rows,
     );
+
+    // The L1 across the paper's range (10k–100k rows, and 1k below it):
+    // every key lookup probes the segments' key tables, so none of the
+    // three costs should grow with the resident rows.
+    println!("\n## F11 — L1 sweep (single-row transactions, {UPDATES} ops per timing)\n");
+    let mut rows = Vec::new();
+    for resident in [1_000i64, 10_000, 100_000] {
+        let (mut insert, mut point, mut update) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..samples() {
+            let st = staged_sales(resident, Stage::L1, 7);
+            let snap = Snapshot::at(st.db.txn_manager().now());
+            point.push(point_us(&st.table, snap, resident));
+            let (t, _) = time_ms(|| {
+                for k in 0..UPDATES {
+                    let mut txn = st.db.begin(IsolationLevel::Transaction);
+                    st.table
+                        .update_where(
+                            &txn,
+                            ColumnId(fact_cols::ORDER_ID as u16),
+                            &Value::Int(k * 7919 % resident),
+                            &[(ColumnId(fact_cols::STATUS as u16), Value::Int(1))],
+                        )
+                        .unwrap();
+                    st.db.commit(&mut txn).unwrap();
+                }
+            });
+            update.push(t * 1e3 / UPDATES as f64);
+            let mut gen = DataGen::new(31);
+            let (t, _) = time_ms(|| {
+                for i in resident..resident + UPDATES {
+                    let row = SalesSchema::fact_row(&mut gen, i, CUSTOMERS, PRODUCTS);
+                    let mut txn = st.db.begin(IsolationLevel::Transaction);
+                    st.table.insert(&txn, row).unwrap();
+                    st.db.commit(&mut txn).unwrap();
+                }
+            });
+            insert.push(UPDATES as f64 / t * 1e3);
+        }
+        rows.push(vec![
+            format!("{resident}"),
+            Summary::of(&insert).cell(0),
+            Summary::of(&point).cell(1),
+            Summary::of(&update).cell(1),
+        ]);
+    }
+    report::emit(
+        "F11 L1 sweep",
+        &[
+            "resident L1 rows",
+            "insert rows/s",
+            "point lookup (µs)",
+            "update (µs)",
+        ],
+        &rows,
+    );
     Ok(())
 }
 
@@ -1537,10 +1590,9 @@ fn fig11() -> hana_common::Result<()> {
 ///
 /// OLTP throughput at 1/2/4/8 hash-routed writers against the same logical
 /// table held as 1 vs 8 partitions. The logical delta budget is divided
-/// across the shards (`l1_max_rows / N`), so the O(L1) uniqueness probe on
-/// every insert/update walks 1/Nth of the delta; on a multi-core box the
-/// shards additionally merge and scan in parallel. The second table times a
-/// partition-parallel filtered scan of the settled main stores.
+/// across the shards (`l1_max_rows / N`); on a multi-core box the shards
+/// merge and scan in parallel. The second table times a partition-parallel
+/// filtered scan of the settled main stores.
 fn fig11p() -> hana_common::Result<()> {
     use hana_common::PartitionConfig;
     use hana_core::ColumnPredicate;

@@ -779,7 +779,9 @@ impl Shard {
         })
     }
 
-    /// The (small) L1 row store as one value batch, filtered row-wise.
+    /// The (small) L1 row store as one value batch, filtered row-wise. A
+    /// non-null `Eq` on a key column routes as in the other stages: only
+    /// the slots the L1's key tables name for its value are tested.
     fn scan_l1<T>(
         &self,
         snap: &Snapshot,
@@ -787,19 +789,30 @@ impl Shard {
         fold: &impl Fn(ColumnBatch<'_>) -> T,
         stats: &mut ScanStats,
     ) -> Option<T> {
-        if !spec.preds.is_empty() {
-            stats.rowwise_rows += self.l1.len() as u64;
+        if self.l1.is_empty() {
+            return None;
         }
-        let slots = match spec.preds {
-            // A lone non-null `Eq` — every point lookup — compares values
-            // directly: the L1 scan is the point path's per-row cost, and a
-            // non-null literal never equals a NULL cell.
-            [ColumnPredicate::Eq(c, w)] if !w.is_null() => {
-                self.l1_visible(snap, |vals| vals[*c] == *w)
+        let preds = spec.preds;
+        let keep = |slot: &&Slot| {
+            preds
+                .iter()
+                .all(|p| p.matches_value(&slot.values[p.column()]))
+                && self.visible(snap, slot.begin(), slot.end())
+        };
+        let slots: Vec<&Slot> = match eq_route(preds, |c| self.l1.has_index(c)) {
+            Some((col, v)) => {
+                stats.index_probes += 1;
+                let hits = self.l1.positions_eq(col, v);
+                stats.rowwise_rows += hits.len() as u64;
+                let slots = hits.iter().filter_map(|&pos| self.l1.slot(pos));
+                slots.filter(keep).collect()
             }
-            preds => self.l1_visible(snap, |vals| {
-                preds.iter().all(|p| p.matches_value(&vals[p.column()]))
-            }),
+            None => {
+                if !preds.is_empty() {
+                    stats.rowwise_rows += self.l1.len() as u64;
+                }
+                self.l1.iter().map(|(_, slot)| slot).filter(keep).collect()
+            }
         };
         if slots.is_empty() {
             return None;
@@ -829,17 +842,6 @@ impl Shard {
             row_ids,
             len: slots.len(),
         }))
-    }
-
-    /// The visible L1 slots whose values satisfy `keep`.
-    fn l1_visible(&self, snap: &Snapshot, keep: impl Fn(&[Value]) -> bool) -> Vec<&Slot> {
-        let mut slots = Vec::new();
-        for (_, slot) in self.l1.iter() {
-            if keep(&slot.values) && self.visible(snap, slot.begin(), slot.end()) {
-                slots.push(slot);
-            }
-        }
-        slots
     }
 }
 

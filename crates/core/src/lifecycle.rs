@@ -349,8 +349,19 @@ impl UnifiedTable {
     /// merged.
     pub fn maybe_merge_once(&self) -> Result<bool> {
         let mut did = false;
-        if decide_l1_merge(&self.config, self.l1.len()) {
+        // One pass works off the L1 backlog it finds, a step of
+        // `l1_max_rows` slots at a time. While OLTP is hot the governor
+        // admits one pass per deferral window, and a single step per pass
+        // would cap the lifecycle at `l1_max_rows` slots per window, below
+        // what a writer that probes the L1's key tables can append.
+        let mut steps = self.l1.len() / self.config.l1_max_rows.max(1);
+        while steps > 0 && decide_l1_merge(&self.config, self.l1.len()) {
+            let before = self.l1.low_pos();
             did |= self.merge_l1()? > 0;
+            if self.l1.low_pos() == before {
+                break;
+            }
+            steps -= 1;
         }
         let (decision, has_frozen) = {
             let state = self.state.read();

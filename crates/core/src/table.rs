@@ -137,7 +137,7 @@ impl UnifiedTable {
             mgr,
             persist,
             fence,
-            l1: L1Delta::new(),
+            l1: L1Delta::new(schema.unique_columns().map(|c| c.idx())),
             state: RwLock::new(TableState {
                 l2,
                 l2_frozen: None,
@@ -356,19 +356,22 @@ impl UnifiedTable {
     }
 
     /// All physical version coordinates whose `col` equals `v`, against the
-    /// given state: L1 scan, L2 inverted indexes, main inverted indexes.
+    /// given state. Every stage routes a key column through its index (the
+    /// L1's key tables, the L2 and main inverted indexes) and walks any
+    /// other column.
     pub(crate) fn versions_by_value_locked(
         &self,
         state: &TableState,
         col: usize,
         v: &Value,
     ) -> Vec<Loc> {
-        let mut out = Vec::new();
-        for (pos, slot) in self.l1.snapshot().iter() {
-            if &slot.values[col] == v {
-                out.push(Loc::L1(pos));
-            }
-        }
+        let mut out: Vec<Loc> = self
+            .l1
+            .snapshot()
+            .positions_eq(col, v)
+            .into_iter()
+            .map(Loc::L1)
+            .collect();
         if let Some(f) = &state.l2_frozen {
             // Published fence, not physical length: an abandoned L1→L2 run
             // may have appended unpublished rows past it.

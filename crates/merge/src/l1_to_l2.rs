@@ -160,7 +160,7 @@ mod tests {
     #[test]
     fn moves_settled_prefix_and_reports_mapping() {
         let mgr = TxnManager::new();
-        let l1 = L1Delta::new();
+        let l1 = L1Delta::new([0]);
         let l2 = L2Delta::new(schema(), 0);
         fill_l1(&l1, &mgr, 10);
         let out = l1_to_l2_merge(&l1, &l2, &mgr, false, usize::MAX).unwrap();
@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn stops_at_uncommitted_slot() {
         let mgr = TxnManager::new();
-        let l1 = L1Delta::new();
+        let l1 = L1Delta::new([0]);
         let l2 = L2Delta::new(schema(), 0);
         fill_l1(&l1, &mgr, 3);
         // An in-flight insert in the middle of the stream.
@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn respects_max_rows() {
         let mgr = TxnManager::new();
-        let l1 = L1Delta::new();
+        let l1 = L1Delta::new([0]);
         let l2 = L2Delta::new(schema(), 0);
         fill_l1(&l1, &mgr, 10);
         let out = l1_to_l2_merge(&l1, &l2, &mgr, false, 4).unwrap();
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn garbage_goes_to_history_for_historic_tables() {
         let mgr = TxnManager::new();
-        let l1 = L1Delta::new();
+        let l1 = L1Delta::new([0]);
         let l2 = L2Delta::new(schema(), 0);
         let history = HistoryStore::new();
         // Insert and delete within committed transactions.
@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn deleted_but_still_visible_rows_move_with_stamp() {
         let mgr = TxnManager::new();
-        let l1 = L1Delta::new();
+        let l1 = L1Delta::new([0]);
         let l2 = L2Delta::new(schema(), 0);
         // Hold an old snapshot so the watermark stays behind.
         let pin = mgr.begin(IsolationLevel::Transaction);
@@ -283,7 +283,7 @@ mod tests {
         // rows into a large L2 appends exactly k rows and reuses the
         // existing dictionary.
         let mgr = TxnManager::new();
-        let l1 = L1Delta::new();
+        let l1 = L1Delta::new([0]);
         let l2 = L2Delta::new(schema(), 0);
         fill_l1(&l1, &mgr, 1000);
         l1_to_l2_merge(&l1, &l2, &mgr, false, usize::MAX).unwrap();

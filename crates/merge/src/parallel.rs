@@ -4,9 +4,10 @@
 //! embarrassingly-parallel per-column work: dictionary merge, code
 //! translation, and value-index rebuild touch one column at a time and
 //! share nothing but the immutable [`MergeInput`](crate::MergeInput) and
-//! survivor list. [`map_indexed`] fans that loop out over a bounded pool of
-//! scoped worker threads; the scan engine in `hana-core` reuses the same
-//! primitive with row-chunk indexes instead of column indexes.
+//! survivor list. [`map_indexed`] fans that loop out over the calling
+//! thread plus a bounded pool of scoped worker threads; the scan engine in
+//! `hana-core` reuses the same primitive with row-chunk indexes instead of
+//! column indexes.
 //!
 //! Guarantees:
 //!
@@ -35,8 +36,9 @@ pub fn effective_workers(requested: usize) -> usize {
     }
 }
 
-/// Compute `f(0), f(1), …, f(arity - 1)` on up to `workers` threads and
-/// return the results in index order.
+/// Compute `f(0), f(1), …, f(arity - 1)` on up to `workers` threads — the
+/// caller's and `workers - 1` spawned ones — and return the results in
+/// index order.
 pub fn map_indexed<T, F>(arity: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -47,38 +49,42 @@ where
         return (0..arity).map(f).collect();
     }
 
+    // The calling thread is one of the workers: it claims indexes like
+    // the spawned ones, so a fan-out spawns `workers - 1` threads (each
+    // fresh thread can leave a malloc arena behind).
     let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= arity {
+                break;
+            }
+            done.push((i, f(i)));
+        }
+        done
+    };
     let scope_result = crossbeam::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|_| {
-                    let mut done = Vec::new();
-                    loop {
-                        let col = next.fetch_add(1, Ordering::Relaxed);
-                        if col >= arity {
-                            break;
-                        }
-                        done.push((col, f(col)));
-                    }
-                    done
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (1..workers).map(|_| s.spawn(|_| claim())).collect();
         let mut slots: Vec<Option<T>> = (0..arity).map(|_| None).collect();
+        let mut place = |pairs: Vec<(usize, T)>| {
+            for (i, value) in pairs {
+                debug_assert!(slots[i].is_none(), "index claimed once");
+                slots[i] = Some(value);
+            }
+        };
+        // A panic here unwinds through the scope, which joins the spawned
+        // workers before it propagates.
+        place(claim());
         for h in handles {
             match h.join() {
-                Ok(pairs) => {
-                    for (col, value) in pairs {
-                        debug_assert!(slots[col].is_none(), "column claimed once");
-                        slots[col] = Some(value);
-                    }
-                }
+                Ok(pairs) => place(pairs),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
         slots
             .into_iter()
-            .map(|s| s.expect("every column index was claimed"))
+            .map(|s| s.expect("every index was claimed"))
             .collect::<Vec<T>>()
     });
     match scope_result {
@@ -128,6 +134,28 @@ mod tests {
             })
         });
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // Both jobs wait for each other, so they run on two threads at
+        // once: the caller and the one thread a 2-worker fan-out spawns.
+        let caller = std::thread::current().id();
+        let both = std::sync::Barrier::new(2);
+        let ran_on = map_indexed(2, 2, |_| {
+            both.wait();
+            std::thread::current().id()
+        });
+        assert!(ran_on.contains(&caller));
+        assert_ne!(ran_on[0], ran_on[1]);
+        let spawned: std::collections::HashSet<_> = map_indexed(64, 4, |_| {
+            std::thread::yield_now();
+            std::thread::current().id()
+        })
+        .into_iter()
+        .filter(|&id| id != caller)
+        .collect();
+        assert!(spawned.len() <= 3);
     }
 
     #[test]
